@@ -59,12 +59,6 @@ SUITE = [
         unit="items/s",
         params={"items": 20_000},
     ),
-    BenchSpec(
-        name="noc_hop_messages_per_sec",
-        fn=micro.noc_hop_throughput,
-        unit="messages/s",
-        params={"messages": 2_000},
-    ),
     # The gated NoC number: serialized messages across the 8x8 mesh
     # diagonal (14 hops), the configuration the batched link reservation
     # was sized against.  The per-topology variants below track the same

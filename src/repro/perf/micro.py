@@ -16,10 +16,9 @@ budget:
   real event rendezvous in each direction.
 * :func:`noc_message_throughput` — serialized messages across a network
   diameter on any topology, exercising batched link reservation, clock
-  alignment and delivery events.  :func:`noc_hop_throughput` is its 4x4
-  mesh instantiation kept for baseline continuity; the gated
-  ``noc_messages_per_sec`` number runs the 8x8 mesh, with per-topology
-  variants alongside (see ``repro.perf.SUITE``).  Passing
+  alignment and delivery events.  The gated ``noc_messages_per_sec``
+  number runs the 8x8 mesh, with per-topology variants alongside (see
+  ``repro.perf.SUITE``).  Passing
   ``power_hooks=True`` attaches a live :class:`~repro.power.PowerProbe`
   — the gated ``noc_messages_per_sec_hooks_on`` variant, which is what
   proves the energy-accounting hooks cost ~nothing on the hot path.
@@ -179,12 +178,6 @@ def noc_message_throughput(messages: int = 2_000, width: int = 8, height: int = 
     if delivered_count != messages:
         raise RuntimeError(f"noc bench lost messages: {delivered_count}/{messages}")
     return messages / elapsed
-
-
-def noc_hop_throughput(messages: int = 2_000, width: int = 4, height: int = 4) -> float:
-    """The 4x4 mesh-diagonal variant tracked since the PR 2 baseline."""
-    return noc_message_throughput(messages=messages, width=width, height=height,
-                                  topology="mesh")
 
 
 def serve_request_throughput(duration_us: float = 4_000.0,

@@ -1,8 +1,8 @@
 """Reconfiguration-aware multiplexing of eFPGA fabrics across tenants.
 
-A :class:`FabricScheduler` owns a bounded admission queue and one worker
-process per :class:`FabricContext`.  Each fabric is a real slice of the
-existing simulation stack — a :class:`~repro.core.control_hub.ControlHub`
+A :class:`FabricScheduler` owns a bounded admission queue and the worker
+processes of each :class:`FabricContext`.  Each fabric is a real slice of
+the existing simulation stack — a :class:`~repro.core.control_hub.ControlHub`
 on its own one-tile NoC plus a
 :class:`~repro.fpga.clocking.ProgrammableClockGenerator` — so switching a
 fabric between two tenants' accelerators pays the *actual* programming
@@ -22,14 +22,18 @@ Scheduling policies are pluggable (:data:`POLICY_KINDS`):
   reconfiguration cost, which is the serving-side payoff of bitstream
   programmability.
 
-With ``ServeConfig.regions > 1`` each fabric is one *shared* device carved
-into K column-band regions (:mod:`repro.reconfig`): designs co-locate on
+Every fabric holds a *placement* that decides where a design lands, and
+the scheduler runs one worker loop, ``placement.slots`` times per fabric,
+over it.  The default :class:`WholeFabric` (``regions=1``) has one slot: a
+switch programs the full image and retunes the shared clock.  With
+``ServeConfig.regions > 1`` a :class:`RegionGrid` carves each fabric into K
+column-band regions (:mod:`repro.reconfig`): designs co-locate on
 contiguous spans, a switch programs only the changed span
 (:meth:`Bitstream.for_regions` through the same ``ControlHub.program``),
-idle spans are evicted LRU-first when the grid is full, and K region
-workers per fabric serve different resident designs concurrently.  With
-the default ``regions=1`` the whole-fabric path below runs unchanged —
-bit-identical to a build without region support.
+idle spans are evicted LRU-first when the grid is full, and K slots serve
+different resident designs concurrently.  The worker and
+:meth:`FabricContext.serve` are the same for both; only the placement's
+steps differ.
 
 Everything is driven by simulated time and seeded randomness only, so a
 serve run is exactly as deterministic as any other experiment cell.
@@ -37,8 +41,9 @@ serve run is exactly as deterministic as any other experiment cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.control_hub import ControlHub, ControlHubConfig
 from repro.core.exceptions import DuetError
@@ -122,10 +127,9 @@ class AffinityPolicy(SchedulingPolicy):
         now = fabric.sim.now
         if now - head.arrival_ns > self.patience_ns:
             return 0
-        resident = getattr(fabric, "has_resident", None)
+        resident = fabric.has_resident
         for index, request in enumerate(pending):
-            if (resident(request.accelerator) if resident is not None
-                    else request.accelerator == fabric.current_design):
+            if resident(request.accelerator):
                 return index
         return 0
 
@@ -147,10 +151,188 @@ def make_policy(kind: str, patience_ns: float = 100_000.0) -> SchedulingPolicy:
 
 
 # --------------------------------------------------------------------------- #
+# Placements: where a design lands on a fabric
+# --------------------------------------------------------------------------- #
+class Placement:
+    """Where designs land on one fabric, and how a request holds a slot.
+
+    The scheduler's worker and :meth:`FabricContext.serve` are shared; a
+    placement supplies the steps that differ: which pending request can
+    start (:meth:`pick`), the image a switch transfers (``claim``), what a
+    finished transfer changes (``loaded``), what the service waits on
+    (``occupy``), the affinity test (``resident``), the heal after a fault
+    (``reset``) and the pristine image an SEU corrupts (``pristine``).
+    """
+
+    #: Workers serving this fabric concurrently.
+    slots = 1
+    #: Whether a finished service can unblock a waiting request, so every
+    #: completion must wake the idle workers.
+    renotify = False
+
+    def __init__(self, fabric: "FabricContext") -> None:
+        self.fabric = fabric
+
+    def pick(self, pending: List[Request], policy: SchedulingPolicy) -> Optional[int]:
+        """Index into ``pending`` of the request to serve next, or ``None``
+        when none can start now."""
+        return policy.select(pending, self.fabric)
+
+    def abandon(self, name: str) -> None:
+        """The claimed image of ``name`` failed its integrity check."""
+
+    def release(self, name: str) -> None:
+        """The service of ``name`` finished."""
+
+    def track(self, request: Request) -> str:
+        """Tracer track of the slot serving ``request``."""
+        return self.fabric.name
+
+    def program_args(self, request: Request, image: Bitstream) -> dict:
+        """Arguments of the ``program`` span that loaded ``image``."""
+        return {"t": request.tenant, "id": request.request_id,
+                "design": request.accelerator}
+
+
+class WholeFabric(Placement):
+    """One slot: the whole device runs one design at a time (the default).
+
+    A switch programs the full image and retunes the shared clock
+    generator; service waits whole cycles of the fabric's clock domain.
+    """
+
+    def claim(self, accelerator: ServedAccelerator) -> Optional[Bitstream]:
+        fabric = self.fabric
+        if fabric.current_design == accelerator.name:
+            return None
+        if fabric.energy is not None:
+            # Close the accounting epoch at the old frequency before the
+            # retune so each epoch integrates at the voltage that applied.
+            fabric.energy.sample()
+        image = fabric.images.get(accelerator.name)
+        return image if image is not None else accelerator.bitstream
+
+    def loaded(self, accelerator: ServedAccelerator, image: Bitstream) -> None:
+        fabric = self.fabric
+        mhz = fabric.clock_mhz_for(accelerator)
+        fabric.clock_generator.set_max_frequency(accelerator.fmax_mhz)
+        fabric.clock_generator.set_frequency(mhz)
+        if fabric.tracer is not None:
+            # The generator settles instantaneously in the current clock
+            # model, so the retune is an instant, not a span (decompose
+            # keeps a zero "retune" stage for when that changes).
+            fabric.tracer.instant(
+                "clock_retune", fabric.name, fabric.sim.now_ps, cat="reconfig",
+                args={"mhz": mhz})
+        fabric.current_design = accelerator.name
+
+    def occupy(self, accelerator: ServedAccelerator, cycles: int):
+        energy = self.fabric.energy
+        if energy is not None:
+            energy.probe.fpga_active_cycles += cycles
+        return self.fabric.clock_generator.fpga_domain.wait_cycles(cycles)
+
+    def resident(self, name: str) -> bool:
+        return name == self.fabric.current_design
+
+    def reset(self) -> None:
+        self.fabric.current_design = None
+
+    def pristine(self, name: str) -> Bitstream:
+        return self.fabric.accelerators[name].bitstream
+
+
+class RegionGrid(Placement):
+    """K slots: one shared device carved into column-band regions.
+
+    Designs co-locate on contiguous spans (:mod:`repro.reconfig`).  A span
+    serves one request at a time, so it is pinned for the whole service —
+    pinned *before* programming, so a concurrent worker placing another
+    design can never evict a span mid-transfer.  A switch programs only the
+    changed span (:meth:`Bitstream.for_regions`) and idle spans are evicted
+    LRU-first when the grid is full.  Each design runs at its own clock
+    (per-region clocking), so service is a plain delay at
+    :meth:`FabricContext.clock_mhz_for`, with no shared-generator retune.
+    """
+
+    #: Startability changes when pins release, not just when the queue grows.
+    renotify = True
+
+    def __init__(self, fabric: "FabricContext", plan: RegionPlan) -> None:
+        super().__init__(fabric)
+        self.plan = plan
+        self.slots = plan.regions
+        self.allocator = RegionAllocator(plan.capacities)
+        self.regions_programmed = 0
+        self.frag_samples: List[float] = []
+
+    def _can_start(self, request: Request) -> bool:
+        """Yes when the design holds an *idle* span, or when a span could
+        be placed — evicting idle residents LRU-first if needed."""
+        name = request.accelerator
+        if self.allocator.lookup(name) is not None:
+            return not self.allocator.is_pinned(name)
+        return self.allocator.can_place(self.plan.tiles[name], name)
+
+    def pick(self, pending: List[Request], policy: SchedulingPolicy) -> Optional[int]:
+        startable = [index for index, request in enumerate(pending)
+                     if self._can_start(request)]
+        if not startable:
+            return None
+        subset = [pending[index] for index in startable]
+        return startable[policy.select(subset, self.fabric)]
+
+    def claim(self, accelerator: ServedAccelerator) -> Optional[Bitstream]:
+        name = accelerator.name
+        if self.allocator.lookup(name) is not None:
+            self.allocator.pin(name)
+            self.allocator.touch(name)
+            return None
+        span = self.allocator.place(name, self.plan.tiles[name]).regions
+        self.allocator.pin(name)
+        self.frag_samples.append(self.allocator.fragmentation())
+        image = self.fabric.images.get(name, self.plan.images[name])
+        return image.for_regions(span)
+
+    def abandon(self, name: str) -> None:
+        # An SEU in the transferred span: the span holds no valid design —
+        # free it before the scheduler's scrub/retry or shed path runs.
+        self.allocator.unpin(name)
+        self.allocator.evict(name)
+
+    def loaded(self, accelerator: ServedAccelerator, image: Bitstream) -> None:
+        self.regions_programmed += len(image.meta["regions"])
+
+    def occupy(self, accelerator: ServedAccelerator, cycles: int):
+        return Delay(cycles * 1000.0 / self.fabric.clock_mhz_for(accelerator))
+
+    def release(self, name: str) -> None:
+        self.allocator.unpin(name)
+
+    def resident(self, name: str) -> bool:
+        return self.allocator.lookup(name) is not None
+
+    def reset(self) -> None:
+        self.allocator.reset()
+
+    def pristine(self, name: str) -> Bitstream:
+        # The *regioned* image: an SEU trips only when its span transfers.
+        return self.plan.images[name]
+
+    def track(self, request: Request) -> str:
+        return f"{self.fabric.name}/{request.accelerator}"
+
+    def program_args(self, request: Request, image: Bitstream) -> dict:
+        return dict(super().program_args(request, image),
+                    regions=list(image.meta["regions"]))
+
+
+# --------------------------------------------------------------------------- #
 # One servable fabric
 # --------------------------------------------------------------------------- #
 class FabricContext:
-    """One eFPGA fabric: Control Hub, clock generator, programmed state."""
+    """One eFPGA fabric: Control Hub, clock generator, programmed state and
+    the placement that decides where designs land on it."""
 
     def __init__(
         self,
@@ -163,7 +345,7 @@ class FabricContext:
         fpga_mhz: Optional[float] = None,
         hub_config: Optional[ControlHubConfig] = None,
         images: Optional[Dict[str, Bitstream]] = None,
-        plan: Optional[RegionPlan] = None,
+        placement: Callable[["FabricContext"], Placement] = WholeFabric,
     ) -> None:
         self.sim = sim
         self.sys_domain = sys_domain
@@ -177,8 +359,9 @@ class FabricContext:
         self.control_hub = ControlHub(
             sim, sys_domain, tile_router, mmio_map, self.clock_generator,
             config=hub_config, name=f"{self.name}.ctrl")
+        #: The design a whole-image programming last loaded (whole-fabric
+        #: placement only; region grids leave it ``None``).
         self.current_design: Optional[str] = None
-        self.busy = False
         self.stats = StatSet(f"{self.name}.stats")
         self.reconfigurations = 0
         self.reconfig_ns_total = 0.0
@@ -193,21 +376,14 @@ class FabricContext:
         #: Corrupt-image overrides shared with the scheduler (see
         #: :attr:`FabricScheduler.images`); empty on every fault-free run.
         self.images: Dict[str, Bitstream] = images if images is not None else {}
-        # -- region mode (repro.reconfig; None = whole-fabric path) ------ #
-        self.plan = plan
-        self.allocator: Optional[RegionAllocator] = (
-            RegionAllocator(plan.capacities) if plan is not None else None)
-        self.region_programmings = 0
-        self.regions_programmed = 0
-        self.frag_samples: List[float] = []
-        self.active_requests: List[Request] = []
+        self.placement: Placement = placement(self)
+        #: Whether design ``name`` is loaded right now (the affinity test).
+        self.has_resident: Callable[[str], bool] = self.placement.resident
         # -- fault state (repro.chaos) ---------------------------------- #
         self.failed = False
         self.fail_time_ns = -1.0
         self.fail_time_ps = -1
         self.fail_reason: Optional[str] = None
-        self.faults = 0
-        self.active_request: Optional[Request] = None
         self._repair = None
 
     # ------------------------------------------------------------------ #
@@ -224,7 +400,6 @@ class FabricContext:
         self.fail_time_ns = self.sim.now
         self.fail_time_ps = self.sim.now_ps
         self.fail_reason = reason
-        self.faults += 1
         self.stats.counter("faults").increment()
 
     def heal(self) -> None:
@@ -232,38 +407,13 @@ class FabricContext:
         self.fail_reason = None
         # The configuration memory did not survive the fault: the next
         # request pays a full reprogram through ControlHub.program.
-        self.current_design = None
-        if self.allocator is not None:
-            self.allocator.reset()
+        self.placement.reset()
         if self._repair is not None and not self._repair.triggered:
             self._repair.succeed()
 
     # ------------------------------------------------------------------ #
     # Introspection used by policies
     # ------------------------------------------------------------------ #
-    def has_resident(self, name: str) -> bool:
-        """Whether ``name`` is loaded on this fabric right now.
-
-        The affinity test: in region mode a design is resident while it
-        holds a span; in whole-fabric mode it is resident when it is the
-        currently programmed bitstream.
-        """
-        if self.allocator is not None:
-            return self.allocator.lookup(name) is not None
-        return name == self.current_design
-
-    def can_start(self, request: Request) -> bool:
-        """Region mode: can ``request`` start now without waiting?
-
-        Yes when its design holds an *idle* span (pins mark in-service
-        instances: one span serves one request at a time), or when a span
-        could be placed — evicting idle residents LRU-first if needed.
-        """
-        name = request.accelerator
-        if self.allocator.lookup(name) is not None:
-            return not self.allocator.is_pinned(name)
-        return self.allocator.can_place(self.plan.tiles[name], name)
-
     def clock_mhz_for(self, accelerator: ServedAccelerator) -> float:
         """The clock the generator would settle at for this accelerator."""
         target = self.fpga_mhz if self.fpga_mhz is not None else accelerator.fmax_mhz
@@ -276,126 +426,45 @@ class FabricContext:
         return cycles * 1000.0 / self.clock_mhz_for(accelerator)
 
     # ------------------------------------------------------------------ #
-    # The serve path (generators driven by the scheduler worker)
+    # The serve path (a generator driven by the scheduler worker)
     # ------------------------------------------------------------------ #
-    def reconfigure(self, accelerator: ServedAccelerator):
-        """Program ``accelerator``'s bitstream and retune the eFPGA clock."""
-        started = self.sim.now
-        if self.energy is not None:
-            # Close the accounting epoch at the old frequency before the
-            # retune so each epoch integrates at the voltage that applied.
-            self.energy.sample()
-        image = self.images.get(accelerator.name)
-        yield from self.control_hub.program(
-            image if image is not None else accelerator.bitstream)
-        self.clock_generator.set_max_frequency(accelerator.fmax_mhz)
-        self.clock_generator.set_frequency(self.clock_mhz_for(accelerator))
-        if self.tracer is not None:
-            # The generator settles instantaneously in the current clock
-            # model, so the retune is an instant, not a span (decompose
-            # keeps a zero "retune" stage for when that changes).
-            self.tracer.instant(
-                "clock_retune", self.name, self.sim.now_ps, cat="reconfig",
-                args={"mhz": self.clock_mhz_for(accelerator)})
-        self.current_design = accelerator.name
-        self.reconfigurations += 1
-        elapsed = self.sim.now - started
-        self.reconfig_ns_total += elapsed
-        self.stats.counter("reconfigurations").increment()
-        self.stats.histogram("reconfig_ns").record(elapsed)
-        return elapsed
-
     def serve(self, request: Request):
-        """Occupy the fabric for the request's service time."""
-        tracer = self.tracer
-        accelerator = self.accelerators[request.accelerator]
-        if self.current_design != accelerator.name:
-            program_start_ps = self.sim.now_ps if tracer is not None else 0
-            yield from self.reconfigure(accelerator)
-            if tracer is not None:
-                tracer.complete(
-                    "program", self.name, program_start_ps,
-                    self.sim.now_ps - program_start_ps, cat="reconfig",
-                    args={"t": request.tenant, "id": request.request_id,
-                          "design": accelerator.name})
-        request.start_ns = self.sim.now
-        service_start_ps = self.sim.now_ps if tracer is not None else 0
-        cycles = accelerator.service_cycles(request.size)
-        if self.energy is not None:
-            self.energy.probe.fpga_active_cycles += cycles
-        domain = self.clock_generator.fpga_domain
-        yield domain.wait_cycles(cycles)
-        request.finish_ns = self.sim.now
-        self.service_ns_total += request.finish_ns - request.start_ns
-        self.stats.counter("served").increment()
-        if tracer is not None:
-            tracer.complete(
-                "service", self.name, service_start_ps,
-                self.sim.now_ps - service_start_ps, cat="serve",
-                args={"t": request.tenant, "id": request.request_id})
-        return request
+        """Serve ``request`` in one placement slot.
 
-    # ------------------------------------------------------------------ #
-    # The region-granular serve path (ServeConfig.regions > 1)
-    # ------------------------------------------------------------------ #
-    def program_span(self, name: str, span: Tuple[int, ...]):
-        """Hot-swap one contiguous span: transfer only its regions' bits."""
-        started = self.sim.now
-        image = self.images.get(name, self.plan.images[name])
-        yield from self.control_hub.program(image.for_regions(span))
-        self.reconfigurations += 1
-        self.region_programmings += 1
-        self.regions_programmed += len(span)
-        elapsed = self.sim.now - started
-        self.reconfig_ns_total += elapsed
-        self.stats.counter("reconfigurations").increment()
-        self.stats.histogram("reconfig_ns").record(elapsed)
-        return elapsed
-
-    def serve_regional(self, request: Request):
-        """Serve on the design's span; place/program it first if absent.
-
-        The span is pinned for the whole service (one span = one
-        accelerator instance = one request at a time) and pinned *before*
-        programming starts, so a concurrent worker placing another design
-        can never evict a span mid-transfer.  Region grids run each design
-        at its own clock (per-region clocking), so service time is a plain
-        delay at :meth:`clock_mhz_for` — no shared-generator retune.
+        The slot is claimed before the first yield, so the worker's
+        startability check cannot go stale.  A design that is not resident
+        is programmed through :meth:`ControlHub.program` first; the slot is
+        then held for the service time.
         """
         tracer = self.tracer
+        placement = self.placement
+        track = placement.track(request) if tracer is not None else ""
         accelerator = self.accelerators[request.accelerator]
-        name = accelerator.name
-        track = f"{self.name}/{name}" if tracer is not None else ""
-        span = self.allocator.lookup(name)
-        if span is None:
-            placement = self.allocator.place(name, self.plan.tiles[name])
-            self.allocator.pin(name)
-            self.frag_samples.append(self.allocator.fragmentation())
+        image = placement.claim(accelerator)
+        if image is not None:
+            started = self.sim.now
             program_start_ps = self.sim.now_ps if tracer is not None else 0
             try:
-                yield from self.program_span(name, placement.regions)
-                if tracer is not None:
-                    tracer.complete(
-                        "program", track, program_start_ps,
-                        self.sim.now_ps - program_start_ps, cat="reconfig",
-                        args={"t": request.tenant, "id": request.request_id,
-                              "design": name,
-                              "regions": list(placement.regions)})
+                yield from self.control_hub.program(image)
             except DuetError:
-                # The integrity check tripped (SEU in the transferred
-                # span): the span holds no valid design — free it before
-                # the scheduler's scrub/retry or shed path runs.
-                self.allocator.unpin(name)
-                self.allocator.evict(name)
+                placement.abandon(accelerator.name)
                 raise
-        else:
-            self.allocator.pin(name)
-            self.allocator.touch(name)
+            placement.loaded(accelerator, image)
+            self.reconfigurations += 1
+            elapsed = self.sim.now - started
+            self.reconfig_ns_total += elapsed
+            self.stats.counter("reconfigurations").increment()
+            self.stats.histogram("reconfig_ns").record(elapsed)
+            if tracer is not None:
+                tracer.complete(
+                    "program", track, program_start_ps,
+                    self.sim.now_ps - program_start_ps, cat="reconfig",
+                    args=placement.program_args(request, image))
         try:
             request.start_ns = self.sim.now
             service_start_ps = self.sim.now_ps if tracer is not None else 0
-            cycles = accelerator.service_cycles(request.size)
-            yield Delay(cycles * 1000.0 / self.clock_mhz_for(accelerator))
+            yield placement.occupy(
+                accelerator, accelerator.service_cycles(request.size))
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
             self.stats.counter("served").increment()
@@ -405,7 +474,7 @@ class FabricContext:
                     self.sim.now_ps - service_start_ps, cat="serve",
                     args={"t": request.tenant, "id": request.request_id})
         finally:
-            self.allocator.unpin(name)
+            placement.release(accelerator.name)
         return request
 
 
@@ -476,17 +545,18 @@ class FabricScheduler:
         #: entry to restore the pristine catalog bitstream.  Empty (and
         #: never touched) on fault-free runs.
         self.images: Dict[str, Bitstream] = {}
-        #: The shared region grid (None on the whole-fabric path).
-        self.region_plan: Optional[RegionPlan] = (
-            RegionPlan.build(self.accelerators, config.regions,
-                             fabric_scale=config.region_fabric_scale)
-            if config.regions > 1 else None)
+        placement: Callable[[FabricContext], Placement] = WholeFabric
+        if config.regions > 1:
+            # One plan (geometry and images) shared by every fabric.
+            plan = RegionPlan.build(self.accelerators, config.regions,
+                                    fabric_scale=config.region_fabric_scale)
+            placement = functools.partial(RegionGrid, plan=plan)
         self.fabrics = [
             FabricContext(
                 sim, self.sys_domain, TileRouter(self.network, node), mmio_map,
                 self.accelerators, index=node, fpga_mhz=config.fpga_mhz,
                 hub_config=config.control_hub, images=self.images,
-                plan=self.region_plan,
+                placement=placement,
             )
             for node in range(config.num_fabrics)
         ]
@@ -520,20 +590,14 @@ class FabricScheduler:
         self._trace_ready: Dict[Tuple[str, int], int] = {}
         #: Accelerators whose image is corrupt with recovery disabled.
         self.poisoned: Set[str] = set()
-        if self.region_plan is not None:
-            # K region workers per fabric: different resident designs
-            # serve concurrently, each on its own span.
-            self.workers = [
-                sim.process(self._region_worker(fabric),
-                            name=f"serve.worker{fabric.index}.{slot}")
-                for fabric in self.fabrics
-                for slot in range(config.regions)
-            ]
-        else:
-            self.workers = [
-                sim.process(self._worker(fabric), name=f"serve.worker{fabric.index}")
-                for fabric in self.fabrics
-            ]
+        #: ``slots`` workers per fabric: on a region grid, different
+        #: resident designs serve concurrently, each on its own span.
+        self.workers = [
+            sim.process(self._worker(fabric),
+                        name=f"serve.worker{fabric.index}.{slot}")
+            for fabric in self.fabrics
+            for slot in range(fabric.placement.slots)
+        ]
 
     # ------------------------------------------------------------------ #
     # Observability (repro.obs; default off)
@@ -639,14 +703,12 @@ class FabricScheduler:
         """SEU: flip bits in the stored image of ``accelerator``.
 
         Latent until the next reprogram of that accelerator trips the
-        programming engine's integrity check (see ControlHub.program).  In
-        region mode the upset lands in the design's *regioned* image, so it
-        only trips when the flipped span is actually transferred — an SEU
-        in a region that is never reprogrammed stays latent forever."""
-        if self.region_plan is not None:
-            pristine = self.region_plan.images[accelerator]
-        else:
-            pristine = self.accelerators[accelerator].bitstream
+        programming engine's integrity check (see ControlHub.program).  The
+        upset lands in the image the placement transfers from: on a region
+        grid that is the design's *regioned* image, so it only trips when
+        the flipped span is actually transferred — an SEU in a region that
+        is never reprogrammed stays latent forever."""
+        pristine = self.fabrics[0].placement.pristine(accelerator)
         base = self.images.get(accelerator, pristine)
         self.images[accelerator] = base.corrupted(offset=offset, flip_mask=flip_mask)
         self.monitor.on_fault(self.sim.now)
@@ -777,10 +839,10 @@ class FabricScheduler:
             args={"t": request.tenant, "id": request.request_id})
 
     # ------------------------------------------------------------------ #
-    # Worker processes (one per fabric)
+    # Worker processes (``placement.slots`` per fabric)
     # ------------------------------------------------------------------ #
     def _worker(self, fabric: FabricContext):
-        served = 0
+        placement = fabric.placement
         while True:
             if fabric.failed:
                 yield fabric.repair_event()
@@ -790,23 +852,26 @@ class FabricScheduler:
                     break
                 yield self._work_event
                 continue
-            index = self.policy.select(self.pending, fabric)
+            index = placement.pick(self.pending, self.policy)
+            if index is None:
+                # Every blocked request targets a busy slot, so a service
+                # is in flight and its completion will notify.
+                yield self._work_event
+                continue
             request = self.pending.pop(index)
             self.monitor.on_dequeue(len(self.pending))
             if self.tracer is not None:
-                self._trace_dequeue(request, fabric.name)
+                self._trace_dequeue(request, placement.track(request))
             self._in_flight += 1
-            fabric.busy = True
-            fabric.active_request = request
             program_fault = False
             try:
                 yield from fabric.serve(request)
             except DuetError:
                 program_fault = True
             finally:
-                fabric.busy = False
-                fabric.active_request = None
                 self._in_flight -= 1
+                if placement.renotify:
+                    self._notify()
             if program_fault:
                 yield from self._handle_program_fault(fabric, request)
                 continue
@@ -817,83 +882,14 @@ class FabricScheduler:
             self.monitor.on_complete(request)
             if self.tracer is not None:
                 self.tracer.instant(
-                    "complete", fabric.name, self.sim.now_ps, cat="serve",
+                    "complete", placement.track(request), self.sim.now_ps,
+                    cat="serve",
                     args={"t": request.tenant, "id": request.request_id})
             if request.completion is not None:
                 request.completion.succeed(request)
-            served += 1
         if (self.closed and not self.pending and self._in_flight == 0
                 and not self._drained.triggered):
             self._drained.succeed()
-        return served
-
-    def _region_worker(self, fabric: FabricContext):
-        """One of K workers sharing a region-gridded fabric.
-
-        Differs from :meth:`_worker` in exactly two ways: the policy picks
-        only among *startable* requests (an idle resident span, or room to
-        place one — a request for a busy span waits), and every completion
-        re-notifies, because startability changes when pins release, not
-        just when the queue grows.
-        """
-        served = 0
-        while True:
-            if fabric.failed:
-                yield fabric.repair_event()
-                continue
-            if not self.pending:
-                if self.closed:
-                    break
-                yield self._work_event
-                continue
-            startable = [index for index, request in enumerate(self.pending)
-                         if fabric.can_start(request)]
-            if not startable:
-                # Every blocked request targets a pinned span, so an
-                # in-flight service exists and its completion will notify.
-                yield self._work_event
-                continue
-            subset = [self.pending[index] for index in startable]
-            pick = self.policy.select(subset, fabric)
-            request = self.pending.pop(startable[pick])
-            self.monitor.on_dequeue(len(self.pending))
-            if self.tracer is not None:
-                self._trace_dequeue(
-                    request, f"{fabric.name}/{request.accelerator}")
-            self._in_flight += 1
-            fabric.busy = True
-            fabric.active_requests.append(request)
-            program_fault = False
-            try:
-                # No yield before serve_regional pins its span, so the
-                # startability check above cannot be stale.
-                yield from fabric.serve_regional(request)
-            except DuetError:
-                program_fault = True
-            finally:
-                fabric.active_requests.remove(request)
-                fabric.busy = bool(fabric.active_requests)
-                self._in_flight -= 1
-                self._notify()
-            if program_fault:
-                yield from self._handle_program_fault(fabric, request)
-                continue
-            if fabric.failed and fabric.fail_time_ns < self.sim.now:
-                self._handle_lost(request)
-                continue
-            self.monitor.on_complete(request)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "complete", f"{fabric.name}/{request.accelerator}",
-                    self.sim.now_ps, cat="serve",
-                    args={"t": request.tenant, "id": request.request_id})
-            if request.completion is not None:
-                request.completion.succeed(request)
-            served += 1
-        if (self.closed and not self.pending and self._in_flight == 0
-                and not self._drained.triggered):
-            self._drained.succeed()
-        return served
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -909,13 +905,14 @@ class FabricScheduler:
     def region_totals(self) -> Dict[str, float]:
         """Region-mode accounting; only merged into rows when regions > 1
         (the default-off contract: regions=1 rows keep their exact shape)."""
-        frag = [sample for f in self.fabrics for sample in f.frag_samples]
+        grids = [f.placement for f in self.fabrics]
+        frag = [sample for grid in grids for sample in grid.frag_samples]
         return {
             "regions": self.config.regions,
-            "region_capacity_tiles": self.region_plan.region_capacity,
-            "region_programmings": sum(f.region_programmings for f in self.fabrics),
-            "regions_programmed": sum(f.regions_programmed for f in self.fabrics),
-            "region_evictions": sum(f.allocator.evictions for f in self.fabrics),
+            "region_capacity_tiles": grids[0].plan.region_capacity,
+            "region_programmings": sum(f.reconfigurations for f in self.fabrics),
+            "regions_programmed": sum(g.regions_programmed for g in grids),
+            "region_evictions": sum(g.allocator.evictions for g in grids),
             "fragmentation_mean": sum(frag) / len(frag) if frag else 0.0,
         }
 

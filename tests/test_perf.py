@@ -187,7 +187,7 @@ def test_kernel_microbenchmarks_return_positive_rates():
     assert micro.kernel_throughput(iterations=200) > 0
     assert micro.kernel_zero_delay_throughput(iterations=200) > 0
     assert micro.channel_handoff(items=100) > 0
-    assert micro.noc_hop_throughput(messages=20) > 0
+    assert micro.noc_message_throughput(messages=20) > 0
 
 
 def test_power_microbenchmarks_return_positive_rates():

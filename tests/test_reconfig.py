@@ -418,9 +418,9 @@ def test_co_located_designs_serve_concurrently():
     assert first.start_ns < second.finish_ns
     assert second.start_ns < first.finish_ns      # genuinely concurrent
     fabric = scheduler.fabrics[0]
-    assert fabric.region_programmings == 2
-    assert fabric.regions_programmed == 4
-    assert fabric.allocator.evictions == 0
+    assert fabric.reconfigurations == 2
+    assert fabric.placement.regions_programmed == 4
+    assert fabric.placement.allocator.evictions == 0
 
 
 def test_hot_swap_under_traffic_then_evict_when_idle():
@@ -439,8 +439,8 @@ def test_hot_swap_under_traffic_then_evict_when_idle():
     # start until the pinned spans drained, then evicted to make room.
     fabric = scheduler.fabrics[0]
     assert wide.start_ns >= min(long_run.finish_ns, swap_in.finish_ns)
-    assert fabric.allocator.evictions >= 1
-    assert fabric.region_programmings == 3
+    assert fabric.placement.allocator.evictions >= 1
+    assert fabric.reconfigurations == 3
     assert not scheduler.pending                   # drained, no deadlock
 
 
@@ -455,13 +455,13 @@ def test_fully_pinned_fabric_sheds_under_bounded_queue():
         [(0.0, running), (1_000.0, queued), (2_000.0, dropped)],
         ("popcount", "sort64", "tangent"), regions=2, scale=0.1,
         queue_capacity=1)
-    plan = scheduler.region_plan
+    plan = scheduler.fabrics[0].placement.plan
     assert all(plan.span_needed(name) == 2
                for name in ("popcount", "sort64", "tangent"))
     assert running.finish_ns > 0
     assert queued.finish_ns > 0                   # waited, then evicted in
     assert dropped.shed                           # queue full while pinned
-    assert scheduler.fabrics[0].allocator.evictions >= 1
+    assert scheduler.fabrics[0].placement.allocator.evictions >= 1
 
 
 def test_seu_in_a_programmed_span_scrubs_and_retries():
@@ -507,7 +507,7 @@ def test_seu_outside_the_programmed_span_stays_latent():
 
     sim.process(feeder(), name="test.feeder")
     sim.run(max_events=500_000)
-    assert scheduler.fabrics[0].allocator.lookup("sort64") == (2, 3)
+    assert scheduler.fabrics[0].placement.allocator.lookup("sort64") == (2, 3)
     assert scheduler.fault_stats["seu_scrubs"] == 0
     assert first.finish_ns > 0 and second.finish_ns > 0
     assert "sort64" in scheduler.images           # still latent
@@ -527,11 +527,11 @@ def test_heal_resets_the_region_grid():
     sim.process(feeder(), name="test.feeder")
     sim.run(max_events=500_000)
     fabric = scheduler.fabrics[0]
-    assert fabric.allocator.residents() == ("popcount",)
+    assert fabric.placement.allocator.residents() == ("popcount",)
     scheduler.fail_fabric(0)
     scheduler.heal_fabric(0)
     # Configuration memory did not survive: the grid is blank again.
-    assert fabric.allocator.residents() == ()
+    assert fabric.placement.allocator.residents() == ()
 
 
 # --------------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.api.registry import get_experiment
+from repro.chaos import ChaosConfig, FaultSchedule, FaultSpec
 from repro.api.runner import Runner
 from repro.serve import (
     ACCELERATOR_NAMES,
@@ -289,6 +290,9 @@ class _FakeFabric:
     def estimate_service_ns(self, request):
         return float(request.size)
 
+    def has_resident(self, name):
+        return name == self.current_design
+
 
 def _pending(*specs):
     requests = []
@@ -422,6 +426,42 @@ def test_multiple_fabrics_raise_throughput():
                                   num_fabrics=2)["rows"])
     assert two["completed"] > one["completed"]
     assert two["p99_latency_us"] < one["p99_latency_us"]
+
+
+def _seu_and_kill(seed=30):
+    """An SEU plus a fabric kill that heals 50 µs later, both in-window."""
+    return ChaosConfig(FaultSchedule(seed=seed, specs=(
+        FaultSpec(kind="seu", at_epoch=0),
+        FaultSpec(kind="fabric", at_epoch=0, repair_ns=50_000.0))))
+
+
+@pytest.mark.parametrize("chaos", [False, True], ids=["fault_free", "seu_kill"])
+@pytest.mark.parametrize("regions", [1, 4])
+def test_drain_releases_every_slot(regions, chaos):
+    """After a run the queue is drained, nothing is in flight, no region
+    span is still pinned, and every submitted request completed or shed —
+    on both placements, with and without faults mid-service."""
+    outcome = run_serve("affinity", tenant_mix="quad", arrival_rate_krps=300.0,
+                        duration_us=400.0, num_fabrics=2, regions=regions,
+                        chaos=_seu_and_kill() if chaos else None)
+    scheduler = outcome["scheduler"]
+    if chaos:
+        # The faults hit work in flight: a lost request and a tripped SEU.
+        assert outcome["chaos"]["requests_lost"] >= 1
+        assert outcome["chaos"]["seu_scrubs"] >= 1
+        assert outcome["chaos"]["dead_fabrics"] == 0
+    assert scheduler.drained().triggered
+    assert scheduler.pending == [] and scheduler._in_flight == 0
+    slots = scheduler.fabrics[0].placement.slots
+    assert slots == regions
+    assert len(scheduler.workers) == scheduler.config.num_fabrics * slots
+    if regions > 1:
+        for fabric in scheduler.fabrics:
+            allocator = fabric.placement.allocator
+            assert not any(allocator.is_pinned(name)
+                           for name in scheduler.accelerators)
+    for row in outcome["rows"]:
+        assert row["submitted"] == row["completed"] + row["shed"], row
 
 
 # --------------------------------------------------------------------------- #
