@@ -181,6 +181,11 @@ class Bitstream:
     ) -> "Bitstream":
         """Produce a deterministic bitstream for ``design`` on ``fabric``.
 
+        The image is ⌈size/32⌉ chained SHA-256 blocks, truncated to
+        ``size`` bytes: the first block hashes the design name and fabric
+        shape, each later one hashes its predecessor.  Generation is linear
+        in the image size.
+
         With ``regions``, the image carries the fabric's region grid
         (:meth:`FabricInstance.region_config_bits`) so
         :meth:`for_regions` can cut partial images; without it the image
@@ -191,7 +196,7 @@ class Bitstream:
         seed = f"{design.name}:{fabric.columns}x{fabric.rows}".encode()
         chunks = []
         digest = hashlib.sha256(seed).digest()
-        while sum(len(chunk) for chunk in chunks) < size_bytes:
+        for _ in range(-(-size_bytes // len(digest))):
             chunks.append(digest)
             digest = hashlib.sha256(digest).digest()
         data = b"".join(chunks)[:size_bytes]

@@ -34,7 +34,12 @@ class CacheEntry:
 
 
 class SetAssociativeCache:
-    """A classic set-associative cache with true-LRU replacement."""
+    """A classic set-associative cache with true-LRU replacement.
+
+    Sets are created on first insert: a set never written to costs one
+    ``None`` slot, so building a large LLC or proxy cache is cheap and
+    its footprint tracks the lines actually cached.
+    """
 
     def __init__(self, size_bytes: int, line_bytes: int, assoc: int, name: str = "cache") -> None:
         if size_bytes <= 0 or line_bytes <= 0 or assoc <= 0:
@@ -49,10 +54,11 @@ class SetAssociativeCache:
         self.assoc = assoc
         self.name = name
         self.num_sets = size_bytes // (line_bytes * assoc)
-        # Each set is an OrderedDict keyed by line address; LRU at the front.
-        self._sets: List["OrderedDict[int, CacheEntry]"] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # Each set is an OrderedDict keyed by line address, LRU at the front;
+        # ``None`` until the set's first insert.
+        self._sets: List[Optional["OrderedDict[int, CacheEntry]"]] = (
+            [None] * self.num_sets
+        )
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -73,7 +79,7 @@ class SetAssociativeCache:
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[CacheEntry]:
         """Return the resident entry for ``line_addr`` (None on miss)."""
         cache_set = self._sets[self.set_index(line_addr)]
-        entry = cache_set.get(line_addr)
+        entry = cache_set.get(line_addr) if cache_set is not None else None
         if entry is None or not entry.valid:
             self.misses += 1
             return None
@@ -84,7 +90,10 @@ class SetAssociativeCache:
 
     def peek(self, line_addr: int) -> Optional[CacheEntry]:
         """Lookup without updating LRU or hit/miss statistics."""
-        entry = self._sets[self.set_index(line_addr)].get(line_addr)
+        cache_set = self._sets[self.set_index(line_addr)]
+        if cache_set is None:
+            return None
+        entry = cache_set.get(line_addr)
         if entry is not None and entry.valid:
             return entry
         return None
@@ -97,7 +106,10 @@ class SetAssociativeCache:
         virtual_page: Optional[int] = None,
     ) -> Optional[CacheEntry]:
         """Install ``line_addr``; returns the evicted victim entry, if any."""
-        cache_set = self._sets[self.set_index(line_addr)]
+        index = self.set_index(line_addr)
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
         victim: Optional[CacheEntry] = None
         if line_addr not in cache_set and len(cache_set) >= self.assoc:
             _, victim = cache_set.popitem(last=False)
@@ -110,28 +122,33 @@ class SetAssociativeCache:
     def invalidate(self, line_addr: int) -> Optional[CacheEntry]:
         """Remove ``line_addr``; returns the removed entry (None if absent)."""
         cache_set = self._sets[self.set_index(line_addr)]
+        if cache_set is None:
+            return None
         return cache_set.pop(line_addr, None)
 
     def invalidate_all(self) -> int:
         """Flush every line; returns the number of lines removed."""
         removed = 0
         for cache_set in self._sets:
-            removed += len(cache_set)
-            cache_set.clear()
+            if cache_set is not None:
+                removed += len(cache_set)
+                cache_set.clear()
         return removed
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self._sets
+                   if cache_set is not None)
 
     def __contains__(self, line_addr: int) -> bool:
         return self.peek(line_addr) is not None
 
     def entries(self) -> Iterator[CacheEntry]:
         for cache_set in self._sets:
-            yield from cache_set.values()
+            if cache_set is not None:
+                yield from cache_set.values()
 
     @property
     def hit_rate(self) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for the eFPGA substrate: fabric, synthesis, bitstream, clocking."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,6 +124,56 @@ def test_bitstream_is_deterministic_per_design():
     assert a.data == b.data
     other = Bitstream.generate(AcceleratorDesign(name="other", luts=100, ffs=100), fabric)
     assert other.data != a.data
+
+
+#: (SHA-256 of ``data``, ``crc``, ``region_crcs`` at ``regions=4``) of each
+#: serving design's image on its synthesized fabric.
+_SERVE_IMAGE_GOLDENS = {
+    "popcount": (
+        "f18b0a6ff8356ededfbcbd6f36673f525189e2149564918f3473ccb433bfdb1c",
+        2668793669, (2781337646, 4035230703, 1987481707, 4282436158)),
+    "sort64": (
+        "aa1079237361d8cd0ac3f5955e99c1138b74784503756275298a22b4c21ea9b6",
+        1647940139, (3940700381, 2501157135, 3799634880, 1138464080)),
+    "tangent": (
+        "4a5c258bb6992ef983a5550f7d3521fdba268dbc5288ec9d64c12b1db75d595d",
+        2939107867, (583572404, 4088369867, 1786635373, 739785504)),
+    "dijkstra": (
+        "c1ea5e86a0cc778bc32008e9c567f5da112eca9bf0ba4618227a77a93205d054",
+        2833664762, (2314343687, 1130691413, 1726129278, 2288569889)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SERVE_IMAGE_GOLDENS))
+def test_serve_bitstream_bytes_are_pinned(name):
+    """Image bytes feed every serve/fleet rows digest; pin them directly so
+    a change to image generation fails here, not only downstream."""
+    from repro.serve import SERVE_ACCELERATORS
+
+    design = SERVE_ACCELERATORS[name].design
+    fabric = SynthesisModel().implement(design).fabric
+    digest, crc, region_crcs = _SERVE_IMAGE_GOLDENS[name]
+    whole = Bitstream.generate(design, fabric)
+    assert (hashlib.sha256(whole.data).hexdigest(), whole.crc,
+            whole.region_crcs) == (digest, crc, None)
+    regioned = Bitstream.generate(design, fabric, regions=4)
+    assert regioned.data == whole.data
+    assert (regioned.crc, regioned.region_crcs) == (crc, region_crcs)
+
+
+def test_bitstream_bytes_pinned_for_odd_and_one_byte_sizes():
+    design = AcceleratorDesign(name="acc", luts=100, ffs=100)
+    # 99 bytes: the last of four SHA-256 blocks is cut to 3 bytes.
+    odd = FabricInstance(FabricSpec(config_bits_per_tile=8 * 33), columns=3, rows=1)
+    image = Bitstream.generate(design, odd, regions=3)
+    assert image.size_bytes == 99
+    assert hashlib.sha256(image.data).hexdigest() == (
+        "a94e7711354b1fb20e685207673da2f908dcadb860a0e4f8bd0161353e89a49d")
+    assert image.crc == 3910031841
+    assert image.region_crcs == (105388048, 3893685257, 3586112508)
+    one = FabricInstance(FabricSpec(config_bits_per_tile=8), columns=1, rows=1)
+    image = Bitstream.generate(design, one)
+    assert (image.data, image.crc, image.region_crcs) == (b"\x1b", 1483155041, None)
 
 
 def test_bitstream_corruption_detected():

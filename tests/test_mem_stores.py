@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem import (
     AddressMap,
+    CacheEntry,
     CoherenceState,
     MainMemory,
     MemoryConfig,
@@ -158,6 +159,128 @@ def test_cache_never_exceeds_capacity_and_residency_is_consistent(addresses):
         assert len(cache) == len(resident)
     for line in resident:
         assert cache.peek(line) is not None
+
+
+class _EagerCache:
+    """Reference tag store: every set is a plain LRU-ordered list, built
+    up front.  ``SetAssociativeCache`` must behave exactly like it."""
+
+    def __init__(self, num_sets, line_bytes, assoc):
+        self.num_sets, self.line_bytes, self.assoc = num_sets, line_bytes, assoc
+        self.sets = [[] for _ in range(num_sets)]
+        self.hits = self.misses = self.evictions = 0
+
+    def _find(self, line):
+        cache_set = self.sets[(line // self.line_bytes) % self.num_sets]
+        for entry in cache_set:
+            if entry.line_addr == line:
+                return cache_set, entry
+        return cache_set, None
+
+    def lookup(self, line, touch=True):
+        cache_set, entry = self._find(line)
+        if entry is None or not entry.valid:
+            self.misses += 1
+            return None
+        if touch:
+            cache_set.remove(entry)
+            cache_set.append(entry)
+        self.hits += 1
+        return entry
+
+    def peek(self, line):
+        _, entry = self._find(line)
+        return entry if entry is not None and entry.valid else None
+
+    def insert(self, line, state, dirty=False, virtual_page=None):
+        cache_set, old = self._find(line)
+        victim = None
+        if old is not None:
+            cache_set.remove(old)
+        elif len(cache_set) >= self.assoc:
+            victim = cache_set.pop(0)
+            self.evictions += 1
+        cache_set.append(CacheEntry(line, state=state, dirty=dirty,
+                                    virtual_page=virtual_page))
+        return victim
+
+    def invalidate(self, line):
+        cache_set, entry = self._find(line)
+        if entry is not None:
+            cache_set.remove(entry)
+        return entry
+
+    def invalidate_all(self):
+        removed = sum(len(cache_set) for cache_set in self.sets)
+        self.sets = [[] for _ in range(self.num_sets)]
+        return removed
+
+    def __len__(self):
+        return sum(len(cache_set) for cache_set in self.sets)
+
+    def entries(self):
+        return [entry for cache_set in self.sets for entry in cache_set]
+
+
+def _fields(entry):
+    if entry is None:
+        return None
+    return (entry.line_addr, entry.state, entry.dirty, entry.virtual_page)
+
+
+_LINES = st.integers(min_value=0, max_value=23).map(lambda index: index * 16)
+_CACHE_OPS = st.one_of(
+    st.tuples(st.just("insert"), _LINES, st.sampled_from(list(CoherenceState)),
+              st.booleans(), st.one_of(st.none(), st.integers(0, 7))),
+    st.tuples(st.just("lookup"), _LINES, st.booleans()),
+    st.tuples(st.just("peek"), _LINES),
+    st.tuples(st.just("invalidate"), _LINES),
+    st.tuples(st.just("invalidate_all")),
+)
+
+
+def test_fresh_cache_materialises_no_set():
+    cache = SetAssociativeCache(64 * 1024, 16, 4)
+    assert cache._sets == [None] * cache.num_sets
+    assert len(cache) == 0 and list(cache.entries()) == []
+    assert cache.lookup(0x40) is None and cache.peek(0x40) is None
+    assert cache.invalidate(0x40) is None and cache.invalidate_all() == 0
+    assert cache._sets == [None] * cache.num_sets
+    cache.insert(0x40, CoherenceState.SHARED)
+    assert sum(cache_set is not None for cache_set in cache._sets) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_sets=st.sampled_from([1, 2, 4]),
+    assoc=st.integers(min_value=1, max_value=3),
+    ops=st.lists(_CACHE_OPS, max_size=60),
+)
+def test_lazy_sets_match_an_eager_reference(num_sets, assoc, ops):
+    cache = SetAssociativeCache(num_sets * 16 * assoc, 16, assoc)
+    reference = _EagerCache(num_sets, 16, assoc)
+    for op in ops:
+        name, args = op[0], op[1:]
+        if name == "insert":
+            line, state, dirty, page = args
+            got = cache.insert(line, state, dirty=dirty, virtual_page=page)
+            want = reference.insert(line, state, dirty=dirty, virtual_page=page)
+        elif name == "lookup":
+            line, touch = args
+            got = cache.lookup(line, touch=touch)
+            want = reference.lookup(line, touch=touch)
+        else:
+            got = getattr(cache, name)(*args)
+            want = getattr(reference, name)(*args)
+        if name == "invalidate_all":
+            assert got == want
+        else:
+            assert _fields(got) == _fields(want), op
+        assert (cache.hits, cache.misses, cache.evictions) == (
+            reference.hits, reference.misses, reference.evictions)
+        assert len(cache) == len(reference)
+        assert ([_fields(entry) for entry in cache.entries()]
+                == [_fields(entry) for entry in reference.entries()])
 
 
 # --------------------------------------------------------------------------- #

@@ -159,8 +159,12 @@ def test_pypy_probe_skips_calibration(monkeypatch):
 def test_cli_perf_warns_on_cross_interpreter_comparison(tmp_path, monkeypatch, capsys):
     from repro.api import cli
     from repro import perf
+    from repro.perf import harness
 
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
+    # The toy suite is deterministic; pin the wall-clock calibration too, so
+    # host-speed drift between the two reports cannot move the gated ratio.
+    monkeypatch.setattr(harness, "machine_calibration", lambda: 25e6)
     baseline_path = tmp_path / "baseline.json"
     assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
     baseline = json.loads(baseline_path.read_text())
