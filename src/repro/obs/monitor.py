@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.stats import Histogram
+
 #: Fields of a window sample that :meth:`TelemetryStream.series` /
 #: :meth:`TelemetryStream.sliding` can read (the flat numeric ones).
 SAMPLE_METRICS = (
@@ -43,15 +45,6 @@ SAMPLE_METRICS = (
     "bad", "bad_fraction", "goodput_krps", "shed_rate", "p99_us",
     "queue_depth", "queue_slope_per_us", "busy_fraction",
 )
-
-
-def _percentile(samples: List[float], fraction: float) -> float:
-    """Nearest-rank percentile, matching ``repro.sim.stats.Histogram``."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, int(round(fraction * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 @dataclass
@@ -221,7 +214,7 @@ class TelemetryMonitor:
                 tenants[name] = {
                     "submitted": d_sub, "completed": d_comp, "good": d_good,
                     "shed": d_shed,
-                    "p99_us": _percentile(latencies, 0.99) / 1000.0,
+                    "p99_us": Histogram(name, latencies).percentile(0.99) / 1000.0,
                 }
         # Queue depth: level (last point wins, carried across empty
         # windows) and slope in depth-per-us across the window's points.
@@ -257,7 +250,8 @@ class TelemetryMonitor:
             "bad_fraction": bad / resolved if resolved else 0.0,
             "goodput_krps": good / self.window_ns * 1e6,
             "shed_rate": shed / submitted if submitted else 0.0,
-            "p99_us": _percentile(window_latencies, 0.99) / 1000.0,
+            "p99_us": Histogram(
+                "window", window_latencies).percentile(0.99) / 1000.0,
             "queue_depth": self._queue_last,
             "queue_slope_per_us": slope,
             "busy_fraction": busy_fraction,

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
@@ -29,6 +30,7 @@ from repro.obs import (
 )
 from repro.serve.experiments import run_serve
 from repro.serve.slo import SloMonitor
+from repro.sim.stats import Histogram
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -101,6 +103,26 @@ def test_burst_crossing_many_windows_attributes_deltas_to_the_last_window():
     counts = [(s["submitted"], s["completed"])
               for s in telemetry.stream.samples]
     assert counts == [(0, 0), (0, 0), (0, 0), (1, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=10_000), min_size=1,
+                max_size=250))
+@example(list(range(1, 101)))
+def test_window_p99_is_the_histogram_nearest_rank(latencies):
+    """Telemetry and the SLO rows share one percentile definition: a
+    window's ``p99_us`` is ``Histogram.percentile(0.99)`` of its samples.
+    The explicit example is where a round-half-even rank (0.99·100 + 0.5
+    rounds to 100) picks the maximum instead of the 99th sample."""
+    sim, monitor, telemetry = _monitored(window_ns=1e9)
+    for latency in latencies:
+        monitor.on_submit(_Req(latency_ns=float(latency)), queue_depth=1)
+        monitor.on_complete(_Req(latency_ns=float(latency)))
+    telemetry.finalize(1.0)
+    (window,) = telemetry.stream.samples
+    expected = Histogram("all", [float(x) for x in latencies]).percentile(0.99)
+    assert window["p99_us"] == expected / 1000.0
+    assert window["tenants"]["alpha"]["p99_us"] == expected / 1000.0
 
 
 def test_stream_merge_rejects_mismatched_windows_and_sorts_totally():

@@ -237,15 +237,51 @@ def test_tracing_never_perturbs_results():
     from repro.chaos.inject import ChaosConfig
     from repro.obs.experiments import noise_schedule
 
-    for kwargs in (
-        dict(duration_us=300.0),
-        dict(duration_us=300.0, regions=4),
-        dict(duration_us=300.0,
-             chaos=ChaosConfig(noise_schedule(4.0))),
+    chaos = ChaosConfig(noise_schedule(4.0))
+    for kwargs, hooks in (
+        (dict(duration_us=300.0), {}),
+        (dict(duration_us=300.0, regions=4), {}),
+        (dict(duration_us=300.0, chaos=chaos), {}),
+        # Two subscribers on the lifecycle funnel at once.
+        (dict(duration_us=300.0, regions=4, chaos=chaos),
+         dict(telemetry_window_us=50.0)),
     ):
         plain = run_serve("affinity", **kwargs)
-        traced = run_serve("affinity", tracer=Tracer(), **kwargs)
+        traced = run_serve("affinity", tracer=Tracer(), **hooks, **kwargs)
         assert plain["rows"] == traced["rows"], kwargs
+
+
+#: (tracer JSON, telemetry JSON) SHA-256 of three chaos runs that together
+#: emit every serve trace kind — arrive, queue, shed, service, complete,
+#: program, xfer, clock_retune, seu_scrub, replay, lost, failover,
+#: fault_seu, fault_link, repair_link and fault_shed.
+CHAOS_TRACE_DIGESTS = {
+    (1, True): ("4fdfe594e5689776ee87975f849cc2c4ff3eac1d8d113308fae9563668657324",
+                "d5f7a0b158a958bfc4967d331ab44f0caf23b74d1823438c39e840def8c8e2c3"),
+    (4, True): ("3c5ca1b0467ed4906ddc61677fe1d64311758ee2a472a5b41f33adbfe428598d",
+                "9b11e1e37c2e619ef60619eeed70b6f0f60b2151cf809e30ec1c251e73ccabac"),
+    (1, False): ("44b2d7ad7231bd212eda47dd553889691f86ea45d593556cf4d62f31e2c59913",
+                 "af9e7fa6821eaaf54d543536c2eaa30527ff46a93673764b9cc4c55a2e7a264d"),
+}
+
+
+@pytest.mark.parametrize("regions,recovery", sorted(CHAOS_TRACE_DIGESTS))
+def test_chaos_trace_and_telemetry_bytes_are_pinned(regions, recovery):
+    import hashlib
+
+    from repro.chaos.inject import ChaosConfig
+    from repro.obs.experiments import noise_schedule
+
+    tracer = Tracer()
+    outcome = run_serve(
+        "affinity", duration_us=300, num_fabrics=2, arrival_rate_krps=1500,
+        queue_capacity=8, telemetry_window_us=50, regions=regions,
+        chaos=ChaosConfig(noise_schedule(8.0), recovery=recovery),
+        tracer=tracer)
+    telemetry = json.dumps(outcome["telemetry"].as_dict(), sort_keys=True)
+    assert (hashlib.sha256(tracer.to_json().encode()).hexdigest(),
+            hashlib.sha256(telemetry.encode()).hexdigest()
+            ) == CHAOS_TRACE_DIGESTS[(regions, recovery)]
 
 
 def test_fleet_tracer_records_epochs_without_perturbing_rows():
