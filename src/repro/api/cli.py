@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "calibration-normalized trend table")
     p_trend.add_argument("reports", nargs="+", metavar="BENCH.json",
                          help="perf reports, oldest first (e.g. "
-                              "BENCH_kernel.json BENCH_obs.json)")
+                              "BENCH_kernel.json bench-current.json)")
     p_trend.add_argument("--baseline-report", default=None, metavar="FILE",
                          help="report whose values anchor every ratio "
                               "(default: each benchmark's first appearance)")

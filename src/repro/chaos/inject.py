@@ -79,18 +79,11 @@ class FaultInjector:
             yield Delay(event.time_ns)
         repair = self._apply(event)
         self.scheduler.fault_stats["faults_injected"] += 1
-        tracer = self.scheduler.tracer
-        if tracer is not None:
-            tracer.instant(f"fault_{event.kind}", "chaos", self.sim.now_ps,
-                           cat="chaos", args={"fabric": event.fabric,
-                                              "scope": event.scope})
+        self.scheduler.monitor.on_inject(event)
         if repair is not None and event.repair_ns > 0:
             yield Delay(event.repair_ns)
             repair()
-            if tracer is not None:
-                tracer.instant(f"repair_{event.kind}", "chaos",
-                               self.sim.now_ps, cat="chaos",
-                               args={"fabric": event.fabric})
+            self.scheduler.monitor.on_repair(event)
         return None
 
     def _apply(self, event: FaultEvent) -> Optional[Callable[[], None]]:

@@ -112,10 +112,6 @@ class ControlHub:
             CONTROL_REGION_SIZE, self.node, self.TARGET, name=self.name
         )
         self.stats = StatSet(f"{self.name}.stats")
-        #: Observability hook (:mod:`repro.obs`): when a Tracer is attached
-        #: the programming engine records one ``xfer`` span per transfer.
-        #: Default off — ``None`` keeps this path allocation-free.
-        self.tracer = None
         # Programming state.
         self.programmed_bitstream: Optional[Bitstream] = None
         self._bitstream_handles: Dict[int, Bitstream] = {}
@@ -177,7 +173,6 @@ class ControlHub:
             transfer_cycles = program_cycles(
                 bitstream.config_bits, self.config.programming_bits_per_cycle
             )
-            start_ps = self.sim.now_ps if self.tracer is not None else 0
             yield self.sys_domain.wait_cycles(transfer_cycles)
             # Re-verify after the transfer window: an SEU that lands while
             # the configuration memory is being written (see repro.chaos)
@@ -190,11 +185,6 @@ class ControlHub:
                 )
             self.programmed_bitstream = bitstream
             self.stats.counter("programmings").increment()
-            if self.tracer is not None:
-                self.tracer.complete(
-                    "xfer", self.name, start_ps, self.sim.now_ps - start_ps,
-                    cat="ctrl", args={"design": bitstream.design_name,
-                                      "bits": bitstream.config_bits})
         finally:
             self.programming_busy = False
         return None

@@ -231,8 +231,9 @@ def simulate_node(
 
         telemetry = TelemetryMonitor(
             monitor, telemetry_window_us * 1000.0, node_id=node.node_id,
-            epoch=epoch, t0_ps=epoch * int(round(epoch_ns * 1000.0)))
-        scheduler.attach_telemetry(telemetry)
+            epoch=epoch, t0_ps=epoch * int(round(epoch_ns * 1000.0)),
+            scheduler=scheduler)
+        scheduler.observe(telemetry)
     energy_models = _attach_node_energy(sim, scheduler) if power else []
 
     chaos_engaged = bool(chaos_events) or bool(failed_fabrics) or bool(replays)

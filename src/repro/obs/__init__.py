@@ -4,7 +4,8 @@ The cross-cutting layer the serving stack reports through:
 
 * :mod:`repro.obs.trace` — a slotted, allocation-light :class:`Tracer`
   recording spans/instants on the integer-ps sim timeline, exportable as
-  deterministic Chrome trace-event JSON (Perfetto-loadable);
+  deterministic Chrome trace-event JSON (Perfetto-loadable), written on
+  the serve path by the :class:`ServeTrace` observer;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, counters/gauges/
   histograms over :mod:`repro.sim.stats` with a picklable
   :class:`MetricsSnapshot` that merges deterministically across the
@@ -25,11 +26,11 @@ The cross-cutting layer the serving stack reports through:
 * :mod:`repro.obs.alerting` — the ``alerting`` detection-quality
   experiment and the ``python -m repro alerts`` driver.
 
-Every hook in the stack is behind ``if tracer is not None`` /
-``if telemetry is not None`` — with nothing attached, runs are
-bit-identical to a build without this package (pinned in
-``tests/test_obs.py`` and ``tests/test_alerts.py``).  See
-``docs/observability.md`` and ``docs/alerting.md``.
+:class:`TelemetryMonitor` and :class:`ServeTrace` observe the serve path's
+one request-lifecycle funnel (``FabricScheduler.observe``); attached or
+not, runs are bit-identical (pinned in ``tests/test_obs.py`` and
+``tests/test_alerts.py``).  See ``docs/observability.md`` and
+``docs/alerting.md``.
 """
 
 from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES, AlertEngine,
@@ -39,7 +40,7 @@ from repro.obs.decompose import (ALL_TENANTS, STAGES, cdf_points,
 from repro.obs.metrics import (GAUGE_MERGE_MODES, CounterGroup, Gauge,
                                MetricsRegistry, MetricsSnapshot)
 from repro.obs.monitor import TelemetryMonitor, TelemetryStream
-from repro.obs.trace import Instant, Span, Tracer
+from repro.obs.trace import Instant, ServeTrace, Span, Tracer
 
 __all__ = [
     "ALL_TENANTS",
@@ -55,6 +56,7 @@ __all__ = [
     "Instant",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "ServeTrace",
     "Span",
     "TelemetryMonitor",
     "TelemetryStream",

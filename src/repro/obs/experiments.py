@@ -156,20 +156,15 @@ def _trace_fleet(seed: int, tracer: Tracer, **overrides: Any) -> None:
               seed=seed, tracer=tracer)
 
 
-def _trace_decomposition(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    # The decomposition cell builds its own tracer; the CLI wants *this*
-    # one populated, so re-drive the same canonical point directly.
-    overrides.setdefault("policy", "affinity")
-    _trace_serve(seed, tracer, **overrides)
-
-
 TRACE_DRIVERS: Dict[str, Callable[..., None]] = {
     "serve_policy": _trace_serve,
     "serve_energy": _trace_serve,
     "reconfig": _trace_reconfig,
     "chaos": _trace_chaos,
     "fleet_scaling": _trace_fleet,
-    "latency_decomposition": _trace_decomposition,
+    # The decomposition cell builds its own tracer; the CLI wants *this*
+    # one populated, so re-drive the same canonical point directly.
+    "latency_decomposition": _trace_serve,
 }
 
 

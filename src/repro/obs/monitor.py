@@ -129,8 +129,8 @@ class TelemetryMonitor:
     """Tumbling-window emitter over one scheduler's SLO monitor.
 
     Pure observation: it never yields, schedules, or creates sim events.
-    The serve-layer hooks (``SloMonitor.on_submit`` etc.) call
-    :meth:`tick` behind ``if telemetry is not None`` before recording;
+    An observer (:meth:`FabricScheduler.observe`): it ticks on the events
+    that record into the SLO accounts and ignores fabric and chaos events;
     :meth:`finalize` flushes the trailing (possibly empty) windows when
     the run ends.
     """
@@ -167,6 +167,19 @@ class TelemetryMonitor:
         boundary lands in the window it opens, not the one it closes."""
         while now_ns >= self._window_end_ns:
             self._close_window()
+
+    def _tick_now(self, *_: Any) -> None:
+        now_ns = self.monitor.sim.now
+        if now_ns >= self._window_end_ns:
+            self.tick(now_ns)
+
+    def _ignore(self, *_: Any) -> None:
+        pass
+
+    on_submit = on_shed = on_dequeue = on_complete = _tick_now
+    on_fault = on_fault_shed = on_replay = _tick_now
+    on_program = on_service = on_lost = on_scrub = _ignore
+    on_failover = on_inject = on_repair = _ignore
 
     def finalize(self, end_ns: float) -> None:
         """Flush through ``end_ns`` at run end.  The final window is
@@ -250,8 +263,7 @@ class TelemetryMonitor:
             "bad_fraction": bad / resolved if resolved else 0.0,
             "goodput_krps": good / self.window_ns * 1e6,
             "shed_rate": shed / submitted if submitted else 0.0,
-            "p99_us": Histogram(
-                "window", window_latencies).percentile(0.99) / 1000.0,
+            "p99_us": Histogram("window", window_latencies).percentile(0.99) / 1000.0,
             "queue_depth": self._queue_last,
             "queue_slope_per_us": slope,
             "busy_fraction": busy_fraction,

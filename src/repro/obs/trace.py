@@ -2,10 +2,12 @@
 
 A :class:`Tracer` records *spans* (an interval with a start and a
 duration) and *instants* (a point event) stamped with the kernel's
-integer-picosecond clock (``Simulator.now_ps``).  It is built to sit on
-the serving hot path behind ``if tracer is not None`` checks, so the
-recording side is deliberately spartan: slotted, no per-event object
-graphs, just tuples appended to flat lists.
+integer-picosecond clock (``Simulator.now_ps``).  It sits on the serving
+hot path, so the recording side is deliberately spartan: slotted, no
+per-event object graphs, just tuples appended to flat lists.
+
+No serving code holds a tracer: :class:`ServeTrace` observes a serve
+deployment's request-lifecycle funnel (the ``SloMonitor.on_*`` hooks).
 
 Two recording styles exist:
 
@@ -30,17 +32,19 @@ number breaking sort ties, track ids assigned by sorted label (never
 ``hash()``/``id()``), and ``sort_keys=True`` serialization — two runs at
 the same seed produce byte-identical files.
 
-Track convention across the repo's hooks (see ``docs/observability.md``):
-``pid`` is the fleet node (0 for single-node serve runs), ``tid`` is the
-fabric (``fabric0``), the design track in region mode
-(``fabric0/<design>``), the control hub (``fabric0.ctrl``), the
-admission queue (``queue``) or the chaos injector (``chaos``).
+Track convention (see ``docs/observability.md``): ``pid`` is the fleet
+node (0 for single-node serve runs), ``tid`` is the fabric
+(``fabric0``), the design track in region mode (``fabric0/<design>``),
+the control hub (``fabric0.ctrl``), the admission queue (``queue``) or
+the chaos injector (``chaos``).
 """
 
 from __future__ import annotations
 
 import json
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+
+from repro.sim.kernel import ns_to_ps
 
 
 class Span(NamedTuple):
@@ -208,3 +212,109 @@ class Tracer:
         """Deterministic serialization: byte-identical for identical runs."""
         return json.dumps(self.chrome_trace(), sort_keys=True,
                           separators=(",", ":")) + "\n"
+
+
+def _track(request, fabric) -> str:
+    if fabric.placement.colocated:
+        return f"{fabric.name}/{request.accelerator}"
+    return fabric.name
+
+
+class ServeTrace:
+    """Writes a serve deployment's request lifecycle into a :class:`Tracer`.
+
+    Subscribed with :meth:`FabricScheduler.observe`, it owns the trace
+    format: tracks, args and the order of events at one instant.  A
+    programming writes ``xfer`` (the Control Hub transfer; verify and
+    ``loaded`` take zero sim time, so it coincides with ``program``),
+    ``clock_retune`` (whole-fabric only: the generator settles at once),
+    then ``program``.  Reported ``*_ns`` starts map to the ``now_ps`` of
+    their instant through :func:`ns_to_ps`, the kernel's own conversion.
+    """
+
+    def __init__(self, tracer: Tracer, sim) -> None:
+        self.tracer = tracer
+        self.sim = sim
+        #: Latest ready instant (admission or replay) per ``(tenant,
+        #: request_id)``: a replayed request's queue span covers only its
+        #: current wait; the wasted one is part of the blackout residual.
+        self._ready: Dict[Tuple[str, int], int] = {}
+
+    def _span(self, name: str, tid: str, start_ns: float, cat: str,
+              args: Dict[str, Any]) -> None:
+        start_ps = ns_to_ps(start_ns)
+        self.tracer.complete(name, tid, start_ps, self.sim.now_ps - start_ps,
+                             cat=cat, args=args)
+
+    def on_submit(self, request, queue_depth: int) -> None:
+        now_ps = self.sim.now_ps
+        self._ready[(request.tenant, request.request_id)] = now_ps
+        self.tracer.instant("arrive", "queue", now_ps, cat="serve",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_shed(self, request) -> None:
+        self.tracer.instant("shed", "queue", self.sim.now_ps, cat="serve",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_dequeue(self, request, queue_depth: int, fabric) -> None:
+        now_ps = self.sim.now_ps
+        ready_ps = self._ready.pop((request.tenant, request.request_id), now_ps)
+        self.tracer.complete("queue", _track(request, fabric), ready_ps,
+                             now_ps - ready_ps, cat="serve",
+                             args={"t": request.tenant, "id": request.request_id})
+
+    def on_program(self, request, fabric, image, start_ns: float) -> None:
+        self._span("xfer", fabric.control_hub.name, start_ns, "ctrl",
+                   {"design": image.design_name, "bits": image.config_bits})
+        args = {"t": request.tenant, "id": request.request_id,
+                "design": request.accelerator}
+        if fabric.placement.colocated:
+            args["regions"] = list(image.meta["regions"])
+        else:
+            mhz = fabric.clock_mhz_for(fabric.accelerators[request.accelerator])
+            self.tracer.instant("clock_retune", fabric.name, self.sim.now_ps,
+                                cat="reconfig", args={"mhz": mhz})
+        self._span("program", _track(request, fabric), start_ns, "reconfig", args)
+
+    def on_service(self, request, fabric) -> None:
+        self._span("service", _track(request, fabric), request.start_ns, "serve",
+                   {"t": request.tenant, "id": request.request_id})
+
+    def on_complete(self, request, fabric) -> None:
+        self.tracer.instant("complete", _track(request, fabric), self.sim.now_ps,
+                            cat="serve",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_lost(self, request) -> None:
+        self.tracer.instant("lost", "queue", self.sim.now_ps, cat="chaos",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_replay(self, request, queue_depth: int) -> None:
+        now_ps = self.sim.now_ps
+        self._ready[(request.tenant, request.request_id)] = now_ps
+        self.tracer.instant("replay", "queue", now_ps, cat="chaos",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_fault_shed(self, request) -> None:
+        self.tracer.instant("fault_shed", "queue", self.sim.now_ps, cat="chaos",
+                            args={"t": request.tenant, "id": request.request_id})
+
+    def on_fault(self) -> None:
+        pass
+
+    def on_scrub(self, fabric, design: str, start_ns: float) -> None:
+        self._span("seu_scrub", fabric.name, start_ns, "chaos", {"design": design})
+
+    def on_failover(self, fabric, reason: str) -> None:
+        # One span per outage: from the kill to the heal.
+        self._span("failover", fabric.name, fabric.fail_time_ns, "chaos",
+                   {"reason": reason})
+
+    def on_inject(self, event) -> None:
+        self.tracer.instant(f"fault_{event.kind}", "chaos", self.sim.now_ps,
+                            cat="chaos",
+                            args={"fabric": event.fabric, "scope": event.scope})
+
+    def on_repair(self, event) -> None:
+        self.tracer.instant(f"repair_{event.kind}", "chaos", self.sim.now_ps,
+                            cat="chaos", args={"fabric": event.fabric})

@@ -23,25 +23,22 @@ budget:
   — the gated ``noc_messages_per_sec_hooks_on`` variant, which is what
   proves the energy-accounting hooks cost ~nothing on the hot path.
 * :func:`energy_sample_rate` — epoch closes per wall second of a busy
-  :class:`~repro.power.EnergyModel`: the accounting layer's own overhead,
-  published in the ``BENCH_power.json`` CI artifact.
+  :class:`~repro.power.EnergyModel`: the accounting layer's own overhead.
 * :func:`serve_request_throughput` — served requests per wall second
   through the :mod:`repro.serve` subsystem on the two-tenant
   reconfiguration-pressure mix: the gated ``serve_requests_per_sec``
-  number, published in the ``BENCH_serve.json`` CI artifact.
+  number.
 * :func:`reconfig_request_throughput` — the same serving workload on a
   region-gridded fabric (:mod:`repro.reconfig`): allocator, span hot
   swaps and partial-image programming on the hot path — the gated
-  ``reconfig_requests_per_sec`` number, published in the
-  ``BENCH_reconfig.json`` CI artifact.
+  ``reconfig_requests_per_sec`` number.
 * :func:`fleet_request_throughput` — served requests per wall second
   through the :mod:`repro.fleet` cluster layer (placement, per-node
   simulation, deterministic merge): the gated ``fleet_requests_per_sec``
-  number, published in the ``BENCH_fleet.json`` CI artifact.
+  number.
 * :func:`chaos_request_throughput` — the same fleet path under injected
   faults with recovery on (:mod:`repro.chaos`): the gated
-  ``chaos_requests_per_sec`` number, published in the
-  ``BENCH_chaos.json`` CI artifact.
+  ``chaos_requests_per_sec`` number.
 
 All of them return a rate (per wall second), so *higher is better* and
 regressions show up as ratios < 1 against the recorded baseline.
@@ -180,6 +177,31 @@ def noc_message_throughput(messages: int = 2_000, width: int = 8, height: int = 
     return messages / elapsed
 
 
+def _aggregate(rows):
+    return next(row for row in rows if row["tenant"] == "__all__")
+
+
+def _served_per_second(rows, elapsed: float, bench: str) -> float:
+    """Completed requests per wall second; raises if a request went missing."""
+    aggregate = _aggregate(rows)
+    completed = aggregate["completed"]
+    if completed <= 0 or aggregate["shed"] + completed != aggregate["submitted"]:
+        raise RuntimeError(
+            f"{bench} bench lost requests: completed={completed} "
+            f"shed={aggregate['shed']} submitted={aggregate['submitted']}")
+    return completed / elapsed
+
+
+def _serve_rate(bench: str, policy: str, **kwargs) -> float:
+    """Served requests per wall second of one ``run_serve`` on the duo mix."""
+    from repro.serve.experiments import run_serve
+
+    start = time.perf_counter()
+    outcome = run_serve(policy, tenant_mix="duo", **kwargs)
+    return _served_per_second(outcome["rows"], time.perf_counter() - start,
+                              bench)
+
+
 def serve_request_throughput(duration_us: float = 4_000.0,
                              arrival_rate_krps: float = 250.0,
                              policy: str = "affinity",
@@ -199,26 +221,11 @@ def serve_request_throughput(duration_us: float = 4_000.0,
     overhead the same way ``noc_messages_per_sec_hooks_on`` gates the
     power probes.
     """
-    from repro.serve.experiments import run_serve
+    from repro.obs import Tracer
 
-    tracer = None
-    if tracing:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    start = time.perf_counter()
-    outcome = run_serve(policy, tenant_mix="duo",
-                        arrival_rate_krps=arrival_rate_krps,
-                        duration_us=duration_us, tracer=tracer)
-    elapsed = time.perf_counter() - start
-    aggregate = [row for row in outcome["rows"] if row["tenant"] == "__all__"][0]
-    completed = aggregate["completed"]
-    if completed <= 0 or aggregate["shed"] + completed != aggregate["submitted"]:
-        raise RuntimeError(
-            f"serve bench lost requests: completed={completed} "
-            f"shed={aggregate['shed']} submitted={aggregate['submitted']}"
-        )
-    return completed / elapsed
+    return _serve_rate("serve", policy, arrival_rate_krps=arrival_rate_krps,
+                       duration_us=duration_us,
+                       tracer=Tracer() if tracing else None)
 
 
 def reconfig_request_throughput(duration_us: float = 4_000.0,
@@ -233,23 +240,10 @@ def reconfig_request_throughput(duration_us: float = 4_000.0,
     startable-filter worker path and partial-image programming through
     ``Bitstream.for_regions`` — the region layer's end-to-end overhead per
     request.  Fully deterministic; only the wall clock varies between
-    repeats (``BENCH_reconfig.json`` CI artifact, gated).
+    repeats (gated).
     """
-    from repro.serve.experiments import run_serve
-
-    start = time.perf_counter()
-    outcome = run_serve(policy, tenant_mix="duo",
-                        arrival_rate_krps=arrival_rate_krps,
-                        duration_us=duration_us, regions=regions)
-    elapsed = time.perf_counter() - start
-    aggregate = [row for row in outcome["rows"] if row["tenant"] == "__all__"][0]
-    completed = aggregate["completed"]
-    if completed <= 0 or aggregate["shed"] + completed != aggregate["submitted"]:
-        raise RuntimeError(
-            f"reconfig bench lost requests: completed={completed} "
-            f"shed={aggregate['shed']} submitted={aggregate['submitted']}"
-        )
-    return completed / elapsed
+    return _serve_rate("reconfig", policy, arrival_rate_krps=arrival_rate_krps,
+                       duration_us=duration_us, regions=regions)
 
 
 def fleet_request_throughput(nodes: int = 4, epochs: int = 3,
@@ -264,7 +258,7 @@ def fleet_request_throughput(nodes: int = 4, epochs: int = 3,
     all on the measured path — under a flat offered rate, so the number
     tracks the cluster layer's end-to-end overhead per request.  The
     workload is fully deterministic; only the wall clock varies between
-    repeats (``BENCH_fleet.json`` CI artifact, gated).
+    repeats (gated).
 
     ``monitoring=True`` attaches the live telemetry layer: every node runs
     with a 100us :class:`~repro.obs.TelemetryMonitor` window and the
@@ -284,14 +278,7 @@ def fleet_request_throughput(nodes: int = 4, epochs: int = 3,
     outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=rate_krps * 1000.0,
                         rate_profile=(1.0,) * epochs)
     elapsed = time.perf_counter() - start
-    aggregate = [row for row in outcome.rows if row["tenant"] == "__all__"][0]
-    completed = aggregate["completed"]
-    if completed <= 0 or aggregate["shed"] + completed != aggregate["submitted"]:
-        raise RuntimeError(
-            f"fleet bench lost requests: completed={completed} "
-            f"shed={aggregate['shed']} submitted={aggregate['submitted']}"
-        )
-    return completed / elapsed
+    return _served_per_second(outcome.rows, elapsed, "fleet")
 
 
 def chaos_request_throughput(nodes: int = 3, spares: int = 1,
@@ -306,8 +293,7 @@ def chaos_request_throughput(nodes: int = 3, spares: int = 1,
     recovery on: spare promotion, failover re-placement, replay bursts and
     image scrubbing are all on the measured path.  Fault draws resolve in
     the parent before any node simulates, so the workload is fully
-    deterministic; only the wall clock varies between repeats
-    (``BENCH_chaos.json`` CI artifact, gated).
+    deterministic; only the wall clock varies between repeats (gated).
     """
     from repro.chaos import ChaosConfig
     from repro.chaos.experiments import build_schedule
@@ -323,16 +309,9 @@ def chaos_request_throughput(nodes: int = 3, spares: int = 1,
     outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=rate_krps * 1000.0,
                         rate_profile=(1.0,) * epochs)
     elapsed = time.perf_counter() - start
-    aggregate = [row for row in outcome.rows if row["tenant"] == "__all__"][0]
-    completed = aggregate["completed"]
-    if completed <= 0 or aggregate["shed"] + completed != aggregate["submitted"]:
-        raise RuntimeError(
-            f"chaos bench lost requests: completed={completed} "
-            f"shed={aggregate['shed']} submitted={aggregate['submitted']}"
-        )
-    if aggregate["faults_injected"] <= 0:
+    if _aggregate(outcome.rows)["faults_injected"] <= 0:
         raise RuntimeError("chaos bench injected no faults")
-    return completed / elapsed
+    return _served_per_second(outcome.rows, elapsed, "chaos")
 
 
 def energy_sample_rate(samples: int = 20_000) -> float:

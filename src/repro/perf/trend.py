@@ -1,9 +1,9 @@
-"""Performance trend folding: many ``BENCH_*.json`` reports, one table.
+"""Performance trend folding: many perf reports, one table.
 
-The repo commits one perf baseline per subsystem (``BENCH_kernel.json``,
-``BENCH_obs.json``, ``BENCH_fleet.json``, ...), each recorded with the
-machine calibration of the box that produced it.  This module folds any
-number of them into a single trend view:
+The repo commits one perf report, ``BENCH_kernel.json``; CI writes
+another per run, and older reports come from history.  Each is recorded
+with the machine calibration of the box that produced it.  This module
+folds any number of them into a single trend view:
 
 * every benchmark value is divided by its report's
   ``calibration_sends_per_sec`` first (the same normalization

@@ -109,18 +109,15 @@ def run_serve(
     columns below only exist when regions > 1, same contract as the chaos
     columns.
 
-    ``tracer`` (a :class:`repro.obs.Tracer`) attaches the observability
-    hooks: per-request lifecycle spans plus chaos events, exportable as a
-    Chrome trace and decomposable with :mod:`repro.obs.decompose`.  The
-    default ``None`` records nothing and is bit-identical to a build
-    without tracing (pinned by ``tests/test_obs.py``).
-
-    ``telemetry_window_us`` attaches a
-    :class:`repro.obs.monitor.TelemetryMonitor` with that tumbling
-    window; the outcome gains a ``"telemetry"``
-    :class:`~repro.obs.monitor.TelemetryStream`.  Windows close lazily
-    inside the SLO hooks (no sim events), so even a monitor-on run is
-    bit-identical to a monitor-off one (pinned by ``tests/test_alerts.py``).
+    ``telemetry_window_us`` and ``tracer`` subscribe observers to the
+    deployment's request-lifecycle funnel (:meth:`FabricScheduler.observe`,
+    telemetry first): a :class:`repro.obs.monitor.TelemetryMonitor` with
+    that tumbling window (the outcome gains its ``"telemetry"`` stream) and
+    a :class:`repro.obs.trace.ServeTrace` writing lifecycle spans and chaos
+    events into the :class:`repro.obs.Tracer`, exportable as a Chrome trace
+    and decomposable with :mod:`repro.obs.decompose`.  Either, both or
+    neither leave the rows bit-identical (pinned by ``tests/test_obs.py``
+    and ``tests/test_alerts.py``).
     """
     if regions > 1 and power:
         raise ValueError(
@@ -140,14 +137,17 @@ def run_serve(
     )
     monitor = SloMonitor(sim)
     scheduler = FabricScheduler(sim, config, monitor=monitor)
-    if tracer is not None:
-        scheduler.attach_tracer(tracer)
     telemetry = None
     if telemetry_window_us is not None:
         from repro.obs.monitor import TelemetryMonitor
 
-        telemetry = TelemetryMonitor(monitor, telemetry_window_us * 1000.0)
-        scheduler.attach_telemetry(telemetry)
+        telemetry = TelemetryMonitor(monitor, telemetry_window_us * 1000.0,
+                                     scheduler=scheduler)
+        scheduler.observe(telemetry)
+    if tracer:
+        from repro.obs.trace import ServeTrace
+
+        scheduler.observe(ServeTrace(tracer, sim))
 
     energy = None
     if power:
@@ -217,13 +217,13 @@ def run_serve(
             row.update(chaos_totals)
     from repro.obs.metrics import MetricsSnapshot
 
-    if telemetry is not None:
+    if telemetry:
         telemetry.finalize(elapsed_ns)
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
             "energy": energy, "elapsed_ns": elapsed_ns, "tracer": tracer,
             "metrics": MetricsSnapshot.merged(
                 (scheduler.metrics.snapshot(), monitor.metrics.snapshot())),
-            "telemetry": telemetry.stream if telemetry is not None else None,
+            "telemetry": telemetry.stream if telemetry else None,
             "chaos": scheduler.chaos_totals() if chaos is not None else None}
 
 

@@ -166,9 +166,10 @@ class Placement:
 
     #: Workers serving this fabric concurrently.
     slots = 1
-    #: Whether a finished service can unblock a waiting request, so every
-    #: completion must wake the idle workers.
-    renotify = False
+    #: Whether designs co-locate, each at its own clock and trace track,
+    #: instead of taking turns on the whole device.  A finished service
+    #: then can unblock a waiting request, so completions wake the workers.
+    colocated = False
 
     def __init__(self, fabric: "FabricContext") -> None:
         self.fabric = fabric
@@ -183,15 +184,6 @@ class Placement:
 
     def release(self, name: str) -> None:
         """The service of ``name`` finished."""
-
-    def track(self, request: Request) -> str:
-        """Tracer track of the slot serving ``request``."""
-        return self.fabric.name
-
-    def program_args(self, request: Request, image: Bitstream) -> dict:
-        """Arguments of the ``program`` span that loaded ``image``."""
-        return {"t": request.tenant, "id": request.request_id,
-                "design": request.accelerator}
 
 
 class WholeFabric(Placement):
@@ -217,13 +209,6 @@ class WholeFabric(Placement):
         mhz = fabric.clock_mhz_for(accelerator)
         fabric.clock_generator.set_max_frequency(accelerator.fmax_mhz)
         fabric.clock_generator.set_frequency(mhz)
-        if fabric.tracer is not None:
-            # The generator settles instantaneously in the current clock
-            # model, so the retune is an instant, not a span (decompose
-            # keeps a zero "retune" stage for when that changes).
-            fabric.tracer.instant(
-                "clock_retune", fabric.name, fabric.sim.now_ps, cat="reconfig",
-                args={"mhz": mhz})
         fabric.current_design = accelerator.name
 
     def occupy(self, accelerator: ServedAccelerator, cycles: int):
@@ -255,8 +240,7 @@ class RegionGrid(Placement):
     :meth:`FabricContext.clock_mhz_for`, with no shared-generator retune.
     """
 
-    #: Startability changes when pins release, not just when the queue grows.
-    renotify = True
+    colocated = True
 
     def __init__(self, fabric: "FabricContext", plan: RegionPlan) -> None:
         super().__init__(fabric)
@@ -319,13 +303,6 @@ class RegionGrid(Placement):
         # The *regioned* image: an SEU trips only when its span transfers.
         return self.plan.images[name]
 
-    def track(self, request: Request) -> str:
-        return f"{self.fabric.name}/{request.accelerator}"
-
-    def program_args(self, request: Request, image: Bitstream) -> dict:
-        return dict(super().program_args(request, image),
-                    regions=list(image.meta["regions"]))
-
 
 # --------------------------------------------------------------------------- #
 # One servable fabric
@@ -341,6 +318,7 @@ class FabricContext:
         tile_router: TileRouter,
         mmio_map: MmioMap,
         accelerators: Dict[str, ServedAccelerator],
+        monitor: SloMonitor,
         index: int = 0,
         fpga_mhz: Optional[float] = None,
         hub_config: Optional[ControlHubConfig] = None,
@@ -352,6 +330,8 @@ class FabricContext:
         self.index = index
         self.name = f"fabric{index}"
         self.accelerators = accelerators
+        #: The lifecycle funnel programmings and services are reported to.
+        self.monitor = monitor
         #: Requested service clock; ``None`` runs each accelerator at Fmax.
         self.fpga_mhz = fpga_mhz
         self.clock_generator = ProgrammableClockGenerator(
@@ -369,10 +349,6 @@ class FabricContext:
         #: Energy hook: when set, served cycles and clock retunes feed the
         #: attached :class:`~repro.power.model.EnergyModel` (see run_serve).
         self.energy = None
-        #: Observability hook (:mod:`repro.obs`): when a Tracer is attached
-        #: (see :meth:`FabricScheduler.attach_tracer`) the serve path records
-        #: ``program``/``service`` spans and ``clock_retune`` instants.
-        self.tracer = None
         #: Corrupt-image overrides shared with the scheduler (see
         #: :attr:`FabricScheduler.images`); empty on every fault-free run.
         self.images: Dict[str, Bitstream] = images if images is not None else {}
@@ -382,7 +358,6 @@ class FabricContext:
         # -- fault state (repro.chaos) ---------------------------------- #
         self.failed = False
         self.fail_time_ns = -1.0
-        self.fail_time_ps = -1
         self.fail_reason: Optional[str] = None
         self._repair = None
 
@@ -398,9 +373,7 @@ class FabricContext:
     def fail(self, reason: str) -> None:
         self.failed = True
         self.fail_time_ns = self.sim.now
-        self.fail_time_ps = self.sim.now_ps
         self.fail_reason = reason
-        self.stats.counter("faults").increment()
 
     def heal(self) -> None:
         self.failed = False
@@ -436,14 +409,11 @@ class FabricContext:
         is programmed through :meth:`ControlHub.program` first; the slot is
         then held for the service time.
         """
-        tracer = self.tracer
         placement = self.placement
-        track = placement.track(request) if tracer is not None else ""
         accelerator = self.accelerators[request.accelerator]
         image = placement.claim(accelerator)
         if image is not None:
             started = self.sim.now
-            program_start_ps = self.sim.now_ps if tracer is not None else 0
             try:
                 yield from self.control_hub.program(image)
             except DuetError:
@@ -453,26 +423,15 @@ class FabricContext:
             self.reconfigurations += 1
             elapsed = self.sim.now - started
             self.reconfig_ns_total += elapsed
-            self.stats.counter("reconfigurations").increment()
             self.stats.histogram("reconfig_ns").record(elapsed)
-            if tracer is not None:
-                tracer.complete(
-                    "program", track, program_start_ps,
-                    self.sim.now_ps - program_start_ps, cat="reconfig",
-                    args=placement.program_args(request, image))
+            self.monitor.on_program(request, self, image, started)
         try:
             request.start_ns = self.sim.now
-            service_start_ps = self.sim.now_ps if tracer is not None else 0
             yield placement.occupy(
                 accelerator, accelerator.service_cycles(request.size))
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
-            self.stats.counter("served").increment()
-            if tracer is not None:
-                tracer.complete(
-                    "service", track, service_start_ps,
-                    self.sim.now_ps - service_start_ps, cat="serve",
-                    args={"t": request.tenant, "id": request.request_id})
+            self.monitor.on_service(request, self)
         finally:
             placement.release(accelerator.name)
         return request
@@ -554,7 +513,7 @@ class FabricScheduler:
         self.fabrics = [
             FabricContext(
                 sim, self.sys_domain, TileRouter(self.network, node), mmio_map,
-                self.accelerators, index=node, fpga_mhz=config.fpga_mhz,
+                self.accelerators, self.monitor, index=node, fpga_mhz=config.fpga_mhz,
                 hub_config=config.control_hub, images=self.images,
                 placement=placement,
             )
@@ -582,12 +541,6 @@ class FabricScheduler:
             "faults_injected", "fabric_faults", "requests_lost",
             "replayed", "fault_shed", "seu_scrubs", "link_faults",
         ))
-        #: Observability hook: attach with :meth:`attach_tracer`; ``None``
-        #: (the default) keeps every hot path free of tracing work.
-        self.tracer = None
-        #: Ready timestamps (sim-ps) keyed by ``(tenant, request_id)``;
-        #: only populated while a tracer is attached (queue-wait spans).
-        self._trace_ready: Dict[Tuple[str, int], int] = {}
         #: Accelerators whose image is corrupt with recovery disabled.
         self.poisoned: Set[str] = set()
         #: ``slots`` workers per fabric: on a region grid, different
@@ -602,27 +555,11 @@ class FabricScheduler:
     # ------------------------------------------------------------------ #
     # Observability (repro.obs; default off)
     # ------------------------------------------------------------------ #
-    def attach_tracer(self, tracer) -> None:
-        """Wire ``tracer`` into every hook point of this deployment.
-
-        Call before the simulation runs.  With no tracer attached (the
-        default) every hook reduces to one ``is not None`` check, and runs
-        are bit-identical to a build without tracing (pinned in
-        ``tests/test_obs.py``).
-        """
-        self.tracer = tracer
-        for fabric in self.fabrics:
-            fabric.tracer = tracer
-            fabric.control_hub.tracer = tracer
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Wire a :class:`repro.obs.monitor.TelemetryMonitor` into this
-        deployment's SLO hooks.  Like :meth:`attach_tracer` this is pure
-        observation — the telemetry layer owns no sim events, windows
-        close lazily inside the existing hooks, and unattached (the
-        default) every hook stays a single ``is not None`` check."""
-        telemetry.scheduler = self
-        self.monitor.telemetry = telemetry
+    def observe(self, observer) -> None:
+        """Subscribe ``observer`` to every lifecycle event: its ``on_*``
+        methods mirror the :class:`~repro.serve.slo.SloMonitor` hooks.  Call
+        before the run; observers never change its results (pinned)."""
+        self.monitor.observers += (observer,)
 
     # ------------------------------------------------------------------ #
     # Admission (called by traffic sources)
@@ -634,21 +571,11 @@ class FabricScheduler:
         if self.closed or (capacity is not None and len(self.pending) >= capacity):
             request.shed = True
             self.monitor.on_shed(request)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "shed", "queue", self.sim.now_ps, cat="serve",
-                    args={"t": request.tenant, "id": request.request_id})
             if request.completion is not None:
                 request.completion.succeed(request)
             return False
         self.pending.append(request)
         self.monitor.on_submit(request, len(self.pending))
-        if self.tracer is not None:
-            now_ps = self.sim.now_ps
-            self._trace_ready[(request.tenant, request.request_id)] = now_ps
-            self.tracer.instant(
-                "arrive", "queue", now_ps, cat="serve",
-                args={"t": request.tenant, "id": request.request_id})
         self._notify()
         return True
 
@@ -679,7 +606,7 @@ class FabricScheduler:
             return False
         fabric.fail(reason)
         self.fault_stats["fabric_faults"] += 1
-        self.monitor.on_fault(self.sim.now)
+        self.monitor.on_fault()
         self._notify()
         return True
 
@@ -690,12 +617,7 @@ class FabricScheduler:
             return False
         reason = fabric.fail_reason
         fabric.heal()
-        if self.tracer is not None:
-            # One failover span per outage: from the kill to the heal.
-            self.tracer.complete(
-                "failover", fabric.name, fabric.fail_time_ps,
-                self.sim.now_ps - fabric.fail_time_ps, cat="chaos",
-                args={"reason": reason})
+        self.monitor.on_failover(fabric, reason)
         self._notify()
         return True
 
@@ -711,7 +633,7 @@ class FabricScheduler:
         pristine = self.fabrics[0].placement.pristine(accelerator)
         base = self.images.get(accelerator, pristine)
         self.images[accelerator] = base.corrupted(offset=offset, flip_mask=flip_mask)
-        self.monitor.on_fault(self.sim.now)
+        self.monitor.on_fault()
 
     def scrub_image(self, accelerator: str) -> None:
         """Restore the pristine catalog bitstream for ``accelerator``."""
@@ -749,22 +671,13 @@ class FabricScheduler:
         self.fault_stats["requests_lost"] += 1
         request.start_ns = -1.0
         request.finish_ns = -1.0
-        if self.tracer is not None:
-            self.tracer.instant(
-                "lost", "queue", self.sim.now_ps, cat="chaos",
-                args={"t": request.tenant, "id": request.request_id})
+        self.monitor.on_lost(request)
         if self.recovery:
             # Failover: replay through whichever fabric frees up first.
             # Not a new admission — the request was already counted.
             self.fault_stats["replayed"] += 1
             self.pending.append(request)
             self.monitor.on_replay(request, len(self.pending))
-            if self.tracer is not None:
-                now_ps = self.sim.now_ps
-                self._trace_ready[(request.tenant, request.request_id)] = now_ps
-                self.tracer.instant(
-                    "replay", "queue", now_ps, cat="chaos",
-                    args={"t": request.tenant, "id": request.request_id})
             self._notify()
         else:
             self._fault_shed(request)
@@ -773,10 +686,6 @@ class FabricScheduler:
         request.shed = True
         self.fault_stats["fault_shed"] += 1
         self.monitor.on_fault_shed(request)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "fault_shed", "queue", self.sim.now_ps, cat="chaos",
-                args={"t": request.tenant, "id": request.request_id})
         if request.completion is not None:
             request.completion.succeed(request)
 
@@ -791,22 +700,13 @@ class FabricScheduler:
             # retry pays a full reprogram of the pristine image).
             self.fault_stats["seu_scrubs"] += 1
             self.scrub_image(name)
-            scrub_start_ps = self.sim.now_ps if self.tracer is not None else 0
+            scrub_started = self.sim.now
             if self.fault_detect_ns > 0:
                 yield Delay(self.fault_detect_ns)
             self.fault_stats["replayed"] += 1
             self.pending.insert(0, request)
+            self.monitor.on_scrub(fabric, name, scrub_started)
             self.monitor.on_replay(request, len(self.pending))
-            if self.tracer is not None:
-                now_ps = self.sim.now_ps
-                self.tracer.complete(
-                    "seu_scrub", fabric.name, scrub_start_ps,
-                    now_ps - scrub_start_ps, cat="chaos",
-                    args={"design": name})
-                self._trace_ready[(request.tenant, request.request_id)] = now_ps
-                self.tracer.instant(
-                    "replay", "queue", now_ps, cat="chaos",
-                    args={"t": request.tenant, "id": request.request_id})
             self._notify()
         else:
             # No recovery: the accelerator is poisoned — this and every
@@ -823,20 +723,6 @@ class FabricScheduler:
             self._fault_shed(self.pending.pop())
             flushed += 1
         return flushed
-
-    def _trace_dequeue(self, request: Request, track: str) -> None:
-        """Close the request's queue-wait span (tracer attached only).
-
-        Keyed on the *latest* ready instant (admission or replay), so a
-        replayed request's queue span covers only its current wait — the
-        earlier, wasted wait is part of the blackout residual.
-        """
-        now_ps = self.sim.now_ps
-        ready_ps = self._trace_ready.pop(
-            (request.tenant, request.request_id), now_ps)
-        self.tracer.complete(
-            "queue", track, ready_ps, now_ps - ready_ps, cat="serve",
-            args={"t": request.tenant, "id": request.request_id})
 
     # ------------------------------------------------------------------ #
     # Worker processes (``placement.slots`` per fabric)
@@ -859,9 +745,7 @@ class FabricScheduler:
                 yield self._work_event
                 continue
             request = self.pending.pop(index)
-            self.monitor.on_dequeue(len(self.pending))
-            if self.tracer is not None:
-                self._trace_dequeue(request, placement.track(request))
+            self.monitor.on_dequeue(request, len(self.pending), fabric)
             self._in_flight += 1
             program_fault = False
             try:
@@ -870,7 +754,7 @@ class FabricScheduler:
                 program_fault = True
             finally:
                 self._in_flight -= 1
-                if placement.renotify:
+                if placement.colocated:
                     self._notify()
             if program_fault:
                 yield from self._handle_program_fault(fabric, request)
@@ -879,12 +763,7 @@ class FabricScheduler:
                 # The fabric died while this request was on it.
                 self._handle_lost(request)
                 continue
-            self.monitor.on_complete(request)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "complete", placement.track(request), self.sim.now_ps,
-                    cat="serve",
-                    args={"t": request.tenant, "id": request.request_id})
+            self.monitor.on_complete(request, fabric)
             if request.completion is not None:
                 request.completion.succeed(request)
         if (self.closed and not self.pending and self._in_flight == 0

@@ -8,16 +8,20 @@ a queue-depth :class:`~repro.sim.stats.TimeSeries`, and plain counters
 for completions, SLO violations and shed requests.  Goodput is defined the
 strict way: only requests that *completed within their tenant's SLO* count,
 so an overloaded policy cannot buy throughput by blowing the tail.
+
+The ``on_*`` hooks are the serve path's one request-lifecycle funnel:
+each event is reported once and forwarded to every observer
+(:meth:`FabricScheduler.observe`) before it is recorded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.traffic import Request
-from repro.sim import TimeSeries
+from repro.sim import Histogram, TimeSeries
 
 #: The latency percentiles every tenant row reports, as (label, fraction).
 #: ``p999`` (and the ``max_latency_us`` column next to the loop over this
@@ -65,12 +69,9 @@ class SloMonitor:
         self.stats = self.metrics.stats
         self.accounts: Dict[str, TenantAccount] = {}
         self.queue_depth: TimeSeries = self.stats.series("queue_depth")
-        #: Streaming telemetry hook (:class:`repro.obs.monitor.TelemetryMonitor`);
-        #: ``None`` (the default) keeps every hook below tick-free.  When
-        #: attached, each recording hook first lets the telemetry layer
-        #: close any window the sim clock has crossed — *before* recording,
-        #: so boundary events land in the window they open.
-        self.telemetry = None
+        #: Each hook calls the same-named method of every observer, in order,
+        #: *before* recording, so a crossed telemetry window closes first.
+        self.observers: Tuple[Any, ...] = ()
         #: Number of fault instants observed (0 on every fault-free run).
         self.faults = 0
         # Tenants with an open recovery window: name -> fault instant (ns).
@@ -82,8 +83,7 @@ class SloMonitor:
     def _account(self, request: Request) -> TenantAccount:
         account = self.accounts.get(request.tenant)
         if account is None:
-            account = TenantAccount(name=request.tenant, slo_ns=request.slo_ns)
-            self.accounts[request.tenant] = account
+            account = self.register(request.tenant, request.slo_ns)
         return account
 
     def register(self, tenant: str, slo_ns: float) -> TenantAccount:
@@ -97,27 +97,31 @@ class SloMonitor:
         return account
 
     def on_submit(self, request: Request, queue_depth: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_submit(request, queue_depth)
         self._account(request).submitted += 1
         self.queue_depth.record(self.sim.now, queue_depth)
 
     def on_shed(self, request: Request) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_shed(request)
         account = self._account(request)
         account.submitted += 1  # shed requests were still offered
         account.shed += 1
         self.stats.counter("shed_total").increment()
 
-    def on_dequeue(self, queue_depth: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+    def on_dequeue(self, request: Request, queue_depth: int, fabric) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_dequeue(request, queue_depth, fabric)
         self.queue_depth.record(self.sim.now, queue_depth)
 
-    def on_complete(self, request: Request) -> None:
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+    def on_complete(self, request: Request, fabric=None) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_complete(request, fabric)
         account = self._account(request)
         account.completed += 1
         account.queue_wait_ns_total += request.queue_wait_ns
@@ -137,27 +141,29 @@ class SloMonitor:
     # ------------------------------------------------------------------ #
     # Chaos hooks (never called on a fault-free run)
     # ------------------------------------------------------------------ #
-    def on_fault(self, time_ns: float) -> None:
-        """A fault was injected: open a recovery window for every tenant.
+    def on_fault(self) -> None:
+        """A fault hit now: open a recovery window for every tenant.
 
         Each tenant's window closes at its first post-fault completion;
         the elapsed time accumulates into ``recovery_time_ns``.  Windows
         do not stack — a second fault before recovery extends nothing.
         """
-        if self.telemetry is not None:
-            self.telemetry.tick(time_ns)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_fault()
         self.faults += 1
         self.stats.counter("faults_total").increment()
         for name in self.accounts:
-            self._recovery_pending.setdefault(name, time_ns)
+            self._recovery_pending.setdefault(name, self.sim.now)
 
     def on_fault_shed(self, request: Request) -> None:
         """A previously-admitted request was lost to a fault and shed.
 
         Unlike :meth:`on_shed` this does *not* count a new submission —
         the request was already admitted once."""
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_fault_shed(request)
         account = self._account(request)
         account.shed += 1
         account.fault_shed += 1
@@ -165,11 +171,51 @@ class SloMonitor:
 
     def on_replay(self, request: Request, queue_depth: int) -> None:
         """A fault-lost request re-entered the queue for another attempt."""
-        if self.telemetry is not None:
-            self.telemetry.tick(self.sim.now)
+        if self.observers:
+            for observer in self.observers:
+                observer.on_replay(request, queue_depth)
         self._account(request).replayed += 1
         self.stats.counter("replayed_total").increment()
         self.queue_depth.record(self.sim.now, queue_depth)
+
+    # ------------------------------------------------------------------ #
+    # Fabric and chaos events: nothing to account, forwarded only.  Spans
+    # end now; a service started at ``request.start_ns``.
+    # ------------------------------------------------------------------ #
+    def on_program(self, request: Request, fabric, image, start_ns: float) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_program(request, fabric, image, start_ns)
+
+    def on_service(self, request: Request, fabric) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_service(request, fabric)
+
+    def on_lost(self, request: Request) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_lost(request)
+
+    def on_scrub(self, fabric, design: str, start_ns: float) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_scrub(fabric, design, start_ns)
+
+    def on_failover(self, fabric, reason: str) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_failover(fabric, reason)
+
+    def on_inject(self, event) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_inject(event)
+
+    def on_repair(self, event) -> None:
+        if self.observers:
+            for observer in self.observers:
+                observer.on_repair(event)
 
     # ------------------------------------------------------------------ #
     # Reporting
@@ -211,8 +257,6 @@ class SloMonitor:
 
     def _row(self, account: TenantAccount, samples: List[float],
              elapsed_ns: float, extra: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        from repro.sim.stats import Histogram
-
         histogram = Histogram(account.name, samples=list(samples))
         row: Dict[str, Any] = dict(extra or {})
         completed = account.completed

@@ -59,7 +59,7 @@ def _monitored(window_ns=100.0):
     sim = _Sim()
     monitor = SloMonitor(sim)
     telemetry = TelemetryMonitor(monitor, window_ns)
-    monitor.telemetry = telemetry
+    monitor.observers = (telemetry,)
     return sim, monitor, telemetry
 
 
