@@ -44,8 +44,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.sim.kernel import ns_to_ps
-
 
 class Span(NamedTuple):
     """One closed interval on a track (all times in integer sim-ps)."""
@@ -228,8 +226,7 @@ class ServeTrace:
     programming writes ``xfer`` (the Control Hub transfer; verify and
     ``loaded`` take zero sim time, so it coincides with ``program``),
     ``clock_retune`` (whole-fabric only: the generator settles at once),
-    then ``program``.  Reported ``*_ns`` starts map to the ``now_ps`` of
-    their instant through :func:`ns_to_ps`, the kernel's own conversion.
+    then ``program``.
     """
 
     def __init__(self, tracer: Tracer, sim) -> None:
@@ -240,9 +237,8 @@ class ServeTrace:
         #: current wait; the wasted one is part of the blackout residual.
         self._ready: Dict[Tuple[str, int], int] = {}
 
-    def _span(self, name: str, tid: str, start_ns: float, cat: str,
+    def _span(self, name: str, tid: str, start_ps: int, cat: str,
               args: Dict[str, Any]) -> None:
-        start_ps = ns_to_ps(start_ns)
         self.tracer.complete(name, tid, start_ps, self.sim.now_ps - start_ps,
                              cat=cat, args=args)
 
@@ -263,8 +259,8 @@ class ServeTrace:
                              now_ps - ready_ps, cat="serve",
                              args={"t": request.tenant, "id": request.request_id})
 
-    def on_program(self, request, fabric, image, start_ns: float) -> None:
-        self._span("xfer", fabric.control_hub.name, start_ns, "ctrl",
+    def on_program(self, request, fabric, image, start_ps: int) -> None:
+        self._span("xfer", fabric.control_hub.name, start_ps, "ctrl",
                    {"design": image.design_name, "bits": image.config_bits})
         args = {"t": request.tenant, "id": request.request_id,
                 "design": request.accelerator}
@@ -274,11 +270,12 @@ class ServeTrace:
             mhz = fabric.clock_mhz_for(fabric.accelerators[request.accelerator])
             self.tracer.instant("clock_retune", fabric.name, self.sim.now_ps,
                                 cat="reconfig", args={"mhz": mhz})
-        self._span("program", _track(request, fabric), start_ns, "reconfig", args)
+        self._span("program", _track(request, fabric), start_ps, "reconfig", args)
 
-    def on_service(self, request, fabric) -> None:
-        self._span("service", _track(request, fabric), request.start_ns, "serve",
-                   {"t": request.tenant, "id": request.request_id})
+    def on_service(self, request, fabric, start_ps: int) -> None:
+        self.tracer.complete("service", _track(request, fabric), start_ps,
+                             self.sim.now_ps - start_ps, cat="serve",
+                             args={"t": request.tenant, "id": request.request_id})
 
     def on_complete(self, request, fabric) -> None:
         self.tracer.instant("complete", _track(request, fabric), self.sim.now_ps,
@@ -302,12 +299,12 @@ class ServeTrace:
     def on_fault(self) -> None:
         pass
 
-    def on_scrub(self, fabric, design: str, start_ns: float) -> None:
-        self._span("seu_scrub", fabric.name, start_ns, "chaos", {"design": design})
+    def on_scrub(self, fabric, design: str, start_ps: int) -> None:
+        self._span("seu_scrub", fabric.name, start_ps, "chaos", {"design": design})
 
     def on_failover(self, fabric, reason: str) -> None:
         # One span per outage: from the kill to the heal.
-        self._span("failover", fabric.name, fabric.fail_time_ns, "chaos",
+        self._span("failover", fabric.name, fabric.fail_time_ps, "chaos",
                    {"reason": reason})
 
     def on_inject(self, event) -> None:

@@ -358,6 +358,7 @@ class FabricContext:
         # -- fault state (repro.chaos) ---------------------------------- #
         self.failed = False
         self.fail_time_ns = -1.0
+        self.fail_time_ps = -1
         self.fail_reason: Optional[str] = None
         self._repair = None
 
@@ -373,6 +374,7 @@ class FabricContext:
     def fail(self, reason: str) -> None:
         self.failed = True
         self.fail_time_ns = self.sim.now
+        self.fail_time_ps = self.sim.now_ps
         self.fail_reason = reason
 
     def heal(self) -> None:
@@ -414,6 +416,7 @@ class FabricContext:
         image = placement.claim(accelerator)
         if image is not None:
             started = self.sim.now
+            start_ps = self.sim.now_ps
             try:
                 yield from self.control_hub.program(image)
             except DuetError:
@@ -424,14 +427,15 @@ class FabricContext:
             elapsed = self.sim.now - started
             self.reconfig_ns_total += elapsed
             self.stats.histogram("reconfig_ns").record(elapsed)
-            self.monitor.on_program(request, self, image, started)
+            self.monitor.on_program(request, self, image, start_ps)
         try:
             request.start_ns = self.sim.now
+            start_ps = self.sim.now_ps
             yield placement.occupy(
                 accelerator, accelerator.service_cycles(request.size))
             request.finish_ns = self.sim.now
             self.service_ns_total += request.finish_ns - request.start_ns
-            self.monitor.on_service(request, self)
+            self.monitor.on_service(request, self, start_ps)
         finally:
             placement.release(accelerator.name)
         return request
@@ -700,12 +704,12 @@ class FabricScheduler:
             # retry pays a full reprogram of the pristine image).
             self.fault_stats["seu_scrubs"] += 1
             self.scrub_image(name)
-            scrub_started = self.sim.now
+            scrub_start_ps = self.sim.now_ps
             if self.fault_detect_ns > 0:
                 yield Delay(self.fault_detect_ns)
             self.fault_stats["replayed"] += 1
             self.pending.insert(0, request)
-            self.monitor.on_scrub(fabric, name, scrub_started)
+            self.monitor.on_scrub(fabric, name, scrub_start_ps)
             self.monitor.on_replay(request, len(self.pending))
             self._notify()
         else:

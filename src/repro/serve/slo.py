@@ -180,27 +180,27 @@ class SloMonitor:
 
     # ------------------------------------------------------------------ #
     # Fabric and chaos events: nothing to account, forwarded only.  Spans
-    # end now; a service started at ``request.start_ns``.
+    # run from ``start_ps`` (``sim.now_ps`` when they began) to now.
     # ------------------------------------------------------------------ #
-    def on_program(self, request: Request, fabric, image, start_ns: float) -> None:
+    def on_program(self, request: Request, fabric, image, start_ps: int) -> None:
         if self.observers:
             for observer in self.observers:
-                observer.on_program(request, fabric, image, start_ns)
+                observer.on_program(request, fabric, image, start_ps)
 
-    def on_service(self, request: Request, fabric) -> None:
+    def on_service(self, request: Request, fabric, start_ps: int) -> None:
         if self.observers:
             for observer in self.observers:
-                observer.on_service(request, fabric)
+                observer.on_service(request, fabric, start_ps)
 
     def on_lost(self, request: Request) -> None:
         if self.observers:
             for observer in self.observers:
                 observer.on_lost(request)
 
-    def on_scrub(self, fabric, design: str, start_ns: float) -> None:
+    def on_scrub(self, fabric, design: str, start_ps: int) -> None:
         if self.observers:
             for observer in self.observers:
-                observer.on_scrub(fabric, design, start_ns)
+                observer.on_scrub(fabric, design, start_ps)
 
     def on_failover(self, fabric, reason: str) -> None:
         if self.observers:
