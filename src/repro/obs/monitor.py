@@ -169,6 +169,7 @@ class TelemetryMonitor:
             self._close_window()
 
     def _tick_now(self, *_: Any) -> None:
+        # Most events cross no window: test here and skip tick's call.
         now_ns = self.monitor.sim.now
         if now_ns >= self._window_end_ns:
             self.tick(now_ns)
