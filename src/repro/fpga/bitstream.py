@@ -14,6 +14,14 @@ counts and per-region CRC-32 checksums of the pristine payload slices;
 regions, whose ``config_bits`` is exactly what a region-granular reprogram
 pays through :meth:`repro.core.control_hub.ControlHub.program`.  Monolithic
 bitstreams (``region_bits is None``) behave exactly as before.
+
+:meth:`Bitstream.verify` runs its CRC passes once per payload: the verdict
+is tied to the payload object; any new payload is re-checked.  It is stored
+together with the ``bytes`` object it checked and the checksum fields, and
+reused only while ``data`` is that same object and the fields are unchanged.
+``bytes`` is immutable and :meth:`~Bitstream.corrupted` /
+:meth:`~Bitstream.for_regions` always build new images, so a stored verdict
+cannot go stale; a mutable (``bytearray``) payload is never memoised.
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class Bitstream:
     #: generation time so a partial image cut from a corrupted payload
     #: still fails :meth:`verify` (the SEU detection path).
     region_crcs: Optional[Tuple[int, ...]] = None
+    #: ``(data, crc, region_bits, region_crcs, ok)`` of the last check of an
+    #: immutable payload (see :meth:`verify`); not part of ``==`` or ``repr``.
+    _verdict: Optional[tuple] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self) -> None:
         if (self.region_bits is None) != (self.region_crcs is None):
@@ -125,16 +137,31 @@ class Bitstream:
         Regioned images verify every region slice against its pristine
         CRC-32 (the per-region configuration chains each check their own
         transfer); monolithic images check the whole-payload checksum.
+        The verdict is tied to the payload object (see the module
+        docstring): any new payload is re-checked.
         """
+        data, verdict = self.data, self._verdict
+        if (verdict is not None and verdict[0] is data
+                and verdict[1:4] == (self.crc, self.region_bits,
+                                     self.region_crcs)):
+            return verdict[4]
+        ok = self._check(data)
+        if type(data) is bytes:
+            self._verdict = (data, self.crc, self.region_bits,
+                             self.region_crcs, ok)
+        return ok
+
+    def _check(self, data: bytes) -> bool:
+        """The CRC passes behind :meth:`verify`, uncached."""
         if self.region_crcs is not None:
             offset = 0
             for bits, crc in zip(self.region_bits, self.region_crcs):
                 end = offset + bits // 8
-                if zlib.crc32(self.data[offset:end]) != crc:
+                if zlib.crc32(data[offset:end]) != crc:
                     return False
                 offset = end
             return True
-        return zlib.crc32(self.data) == self.crc
+        return zlib.crc32(data) == self.crc
 
     def corrupted(self, offset: int = 0, flip_mask: int = 0xFF) -> "Bitstream":
         """Return a copy with ``flip_mask`` XORed into the payload.

@@ -7,7 +7,8 @@ footprint; hot-swapping a design reprograms only its span.
 
 Everything here is deterministic and ``PYTHONHASHSEED``-independent:
 ordering uses tile counts, CRC-32 of names and lexicographic names — never
-``hash()`` — and the allocator iterates plain lists, never set/dict order.
+``hash()`` — and the allocator iterates plain lists, never set/dict order
+(its ``name → span`` index is only ever read by key).
 
 Two layers:
 
@@ -83,6 +84,9 @@ class RegionAllocator:
         self.capacities = capacities
         self.capacity = capacities[0]
         self._occupants: List[Optional[str]] = [None] * len(capacities)
+        #: ``name → span`` of every resident, kept in step with
+        #: ``_occupants`` so :meth:`lookup` is O(1).
+        self._spans: Dict[str, Tuple[int, ...]] = {}
         self._pins: Dict[str, int] = {}
         self._last_used: Dict[str, int] = {}
         self._clock = 0
@@ -110,9 +114,7 @@ class RegionAllocator:
 
     def lookup(self, name: str) -> Optional[Tuple[int, ...]]:
         """The contiguous span ``name`` occupies, or ``None``."""
-        span = tuple(index for index, occupant in enumerate(self._occupants)
-                     if occupant == name)
-        return span or None
+        return self._spans.get(name)
 
     def is_pinned(self, name: str) -> bool:
         return self._pins.get(name, 0) > 0
@@ -174,8 +176,10 @@ class RegionAllocator:
             raise PlacementError(f"{name!r} is already resident")
         count = self.span_needed(tiles)
         start, evicted = self._choose_span(name, count, probe=False)
-        for index in range(start, start + count):
+        span = tuple(range(start, start + count))
+        for index in span:
             self._occupants[index] = name
+        self._spans[name] = span
         self._clock += 1
         self._last_used[name] = self._clock
         self.placements += 1
@@ -211,6 +215,7 @@ class RegionAllocator:
                 if occupant == victim:
                     occupants[index] = None
             if not probe:
+                del self._spans[victim]
                 self._last_used.pop(victim, None)
                 self.evictions += 1
 
@@ -227,13 +232,14 @@ class RegionAllocator:
 
     def evict(self, name: str) -> None:
         """Remove ``name`` from the grid (explicit scrub/teardown path)."""
-        if self.lookup(name) is None:
+        span = self._spans.get(name)
+        if span is None:
             raise PlacementError(f"{name!r} is not resident")
         if self.is_pinned(name):
             raise PlacementError(f"{name!r} is pinned; cannot evict")
-        for index, occupant in enumerate(self._occupants):
-            if occupant == name:
-                self._occupants[index] = None
+        for index in span:
+            self._occupants[index] = None
+        del self._spans[name]
         self._last_used.pop(name, None)
         self.evictions += 1
 
@@ -261,6 +267,7 @@ class RegionAllocator:
     def reset(self) -> None:
         """Clear all occupancy/pins (fabric heal or power cycle)."""
         self._occupants = [None] * self.regions
+        self._spans.clear()
         self._pins.clear()
         self._last_used.clear()
 

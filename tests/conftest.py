@@ -1,10 +1,12 @@
-"""Shared fixtures: a miniature coherent system used by memory-system tests."""
+"""Shared fixtures: a miniature coherent system used by memory-system tests,
+and a spy on the CRC passes behind ``Bitstream.verify``."""
 
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 import pytest
 
+from repro.fpga import Bitstream
 from repro.mem import AddressMap, DirectoryShard, MainMemory, MemoryConfig, PrivateCacheAgent
 from repro.noc import NocNetwork, TileRouter
 from repro.sim import ClockDomain, Simulator
@@ -59,3 +61,17 @@ def build_mini_system(width=2, height=2, num_agents=2, freq_mhz=1000.0, config=N
 @pytest.fixture
 def mini_system():
     return build_mini_system()
+
+
+@pytest.fixture
+def crc_passes(monkeypatch):
+    """The payload of every CRC pass behind ``Bitstream.verify``, in order."""
+    checked = []
+    real_check = Bitstream._check
+
+    def spy(self, data):
+        checked.append(data)
+        return real_check(self, data)
+
+    monkeypatch.setattr(Bitstream, "_check", spy)
+    return checked

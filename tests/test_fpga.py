@@ -1,6 +1,7 @@
 """Unit tests for the eFPGA substrate: fabric, synthesis, bitstream, clocking."""
 
 import hashlib
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,7 +234,7 @@ def test_bitstream_corrupted_rejects_empty_and_cancelling_masks():
     # On a 1-byte payload a 2-byte mask folds both bytes onto index 0;
     # 0x0101 XORs it twice with 0x01 and cancels out.
     tiny = Bitstream(design_name="tiny", data=b"\x42",
-                     crc=__import__("zlib").crc32(b"\x42"), config_bits=8)
+                     crc=zlib.crc32(b"\x42"), config_bits=8)
     with pytest.raises(BitstreamError, match="cancels out"):
         tiny.corrupted(flip_mask=0x0101)
     assert not tiny.corrupted(flip_mask=0x01).verify()
@@ -272,6 +273,71 @@ def test_corruption_mid_transfer_trips_the_post_transfer_check():
     assert "corrupted during the configuration transfer" in errors[0]
     assert hub.programmed_bitstream is None
     assert not hub.programming_busy
+
+
+# --------------------------------------------------------------------------- #
+# Verify memo: one CRC pass per immutable payload, never a stale verdict
+# --------------------------------------------------------------------------- #
+def _images():
+    design = AcceleratorDesign(name="acc", luts=100, ffs=100)
+    fabric = FabricInstance(FabricSpec(), columns=8, rows=4)
+    return (Bitstream.generate(design, fabric),
+            Bitstream.generate(design, fabric, regions=4))
+
+
+def test_verify_memo_checks_each_payload_once_and_hides_from_eq_and_repr(
+        crc_passes):
+    mono, regioned = _images()
+    for _ in range(3):
+        assert mono.verify() and regioned.verify()
+    assert crc_passes == [mono.data, regioned.data]
+    twin = Bitstream(mono.design_name, mono.data, mono.crc, mono.config_bits,
+                     dict(mono.meta))
+    assert twin == mono and repr(twin) == repr(mono)
+
+
+def test_verify_memo_is_dropped_when_payload_or_checksums_are_rebound():
+    mono, regioned = _images()
+    for image in (mono, regioned):
+        assert image.verify()
+        pristine = image.data
+        image.data = image.corrupted(offset=5).data
+        assert not image.verify()
+        image.data = pristine
+        assert image.verify()
+    mono.crc ^= 1
+    assert not mono.verify()
+    mono.crc ^= 1
+    assert mono.verify()
+    crcs = regioned.region_crcs
+    regioned.region_crcs = (crcs[0], crcs[1] ^ 1) + crcs[2:]
+    assert not regioned.verify()
+    regioned.region_crcs = crcs
+    assert regioned.verify()
+
+
+def test_verify_memo_rechecks_corrupted_and_partial_copies(crc_passes):
+    _, image = _images()
+    assert image.verify()
+    crc_passes.clear()
+    corrupt = image.corrupted(offset=image.region_bits[0] // 8)
+    assert not corrupt.verify()
+    assert image.for_regions((0, 1)).verify()
+    assert not corrupt.for_regions((0, 1)).verify()  # flip inside the span
+    assert corrupt.for_regions((2, 3)).verify()      # flip not transferred
+    assert len(crc_passes) == 4
+    assert len({id(payload) for payload in crc_passes}) == 4
+    assert image.verify() and len(crc_passes) == 4   # original still memoised
+
+
+def test_verify_rechecks_a_mutable_payload_every_time():
+    payload = bytearray(b"duet" * 8)
+    image = Bitstream("mutable", payload, zlib.crc32(payload), len(payload) * 8)
+    assert image.verify()
+    payload[3] ^= 0xFF
+    assert not image.verify()
+    payload[3] ^= 0xFF
+    assert image.verify()
 
 
 # --------------------------------------------------------------------------- #

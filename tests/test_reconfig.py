@@ -166,17 +166,19 @@ _NAMES = tuple(f"d{i}" for i in range(6))
 
 @given(
     regions=st.integers(min_value=2, max_value=6),
-    capacity=st.integers(min_value=1, max_value=32),
+    capacity=st.integers(min_value=16, max_value=32),
     ops=st.lists(
-        st.tuples(st.sampled_from(("place", "evict", "pin", "unpin", "touch")),
+        st.tuples(st.sampled_from(("place", "evict", "pin", "unpin", "touch",
+                                   "reset")),
                   st.integers(min_value=0, max_value=5),
                   st.integers(min_value=1, max_value=96)),
-        max_size=40),
+        min_size=10, max_size=40),
 )
 @settings(max_examples=60, deadline=None)
 def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
     """No overlap, contiguous spans, free-list conservation and
-    placed-capacity >= requested tiles, under any place/evict/pin mix."""
+    placed-capacity >= requested tiles, under any place/evict/pin/reset
+    mix; the span index always agrees with a scan of the occupants."""
     allocator = RegionAllocator([capacity] * regions)
     for op, design, tiles in ops:
         name = _NAMES[design]
@@ -191,11 +193,17 @@ def test_allocator_invariants_under_arbitrary_sequences(regions, capacity, ops):
                 allocator.pin(name)
             elif op == "unpin":
                 allocator.unpin(name)
+            elif op == "reset":
+                allocator.reset()
             else:
                 allocator.touch(name)
         except PlacementError:
             pass
         occupants = allocator.occupants
+        for each in _NAMES:
+            scanned = tuple(index for index, occupant in enumerate(occupants)
+                            if occupant == each)
+            assert allocator.lookup(each) == (scanned or None)
         occupied = sum(1 for occupant in occupants if occupant is not None)
         assert allocator.free_regions() + occupied == regions  # conservation
         for resident in allocator.residents():

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.registry import get_experiment
 from repro.chaos import ChaosConfig, FaultSchedule, FaultSpec
+from repro.fpga import Bitstream
 from repro.api.runner import Runner
 from repro.serve import (
     ACCELERATOR_NAMES,
@@ -402,6 +403,31 @@ def test_scheduler_charges_real_reconfiguration_cost():
     low = (min(expected.values()) - 1) * period_ns
     high = max(expected.values()) * period_ns
     assert all(low < sample <= high for sample in samples)
+
+
+def test_reprogramming_checks_each_image_payload_once(crc_passes, monkeypatch):
+    """``ControlHub.program`` verifies before and after every transfer, but
+    each immutable image is CRC-checked once per run; the simulated run is
+    identical to one that re-checks every time."""
+    def duo():
+        return run_serve("affinity", tenant_mix="duo", arrival_rate_krps=400.0,
+                         duration_us=20_000.0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Bitstream, "verify", lambda self: self._check(self.data))
+        reference = duo()
+    reconfigurations = reference["scheduler"].fabrics[0].reconfigurations
+    assert reconfigurations >= 1_000
+    assert len(crc_passes) == 2 * reconfigurations  # before and after each
+    crc_passes.clear()
+    memoised = duo()
+    assert memoised["scheduler"].fabrics[0].reconfigurations == reconfigurations
+    assert memoised["rows"] == reference["rows"]
+    images = {id(accelerator.bitstream.data)
+              for accelerator in memoised["scheduler"].accelerators.values()}
+    payloads = [id(data) for data in crc_passes]
+    assert len(payloads) == len(set(payloads)) == len(images)
+    assert set(payloads) == images
 
 
 def test_fabric_clock_follows_programmed_accelerator():
