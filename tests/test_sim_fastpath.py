@@ -4,9 +4,11 @@ These pin down the ordering invariants the immediate-run deque and the
 integer-picosecond timeline must preserve (see docs/architecture.md):
 same-timestamp FIFO across heap and deque, event waiter ordering,
 ``stop_when`` firing between zero-delay callbacks, explicit failure
-propagation, and a golden-file determinism check on fig9.
+propagation, a golden-file determinism check on fig9 and row-digest
+pins on further Dolly-path experiments.
 """
 
+import hashlib
 import json
 import os
 
@@ -298,6 +300,30 @@ def test_fig9_results_match_golden_file():
     rows = Runner().run("fig9").to_dicts()
     normalized = json.loads(json.dumps(rows, sort_keys=True))
     assert normalized == golden
+
+
+#: SHA-256 of the sorted-key JSON rows of Dolly-path experiments beyond
+#: fig9: synthetic bandwidth, energy windows, DVFS and three applications.
+DOLLY_ROW_DIGESTS = {
+    "fig10": "66cebe4d7454825c982f042f97bc16c65cc05acc5ba46ab314b5d060aba9f733",
+    "fig11": "47068cb25433a4dcfac02a79d67beaaaef3b18cbdd873284511a7faa6416d7dd",
+    "power_efficiency": "fdcae4ab5a9d477417bcc6337098f31c058b50355ff838bef507e7c581029b49",
+    "dvfs_policy": "3bbcbb74486a21b60f08201b74582c018b442751776ffe46a3f20619c7ab8eeb",
+    "app/tangent": "63cbe958dbf663a902f6a5be7dabf92c1b11fe2b860f219c201c5683bc7af4bb",
+    "app/popcount": "82b6aecb9c458332773a87757c31117ec01d94d0342a14c985ee9d53e49eff9b",
+    "app/sort/32": "6145461793af4977949ac56114ed84e40c9111a69503b9b68b20eb933c8560cd",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DOLLY_ROW_DIGESTS))
+def test_dolly_rows_match_recorded_digest(experiment):
+    """Every row, runtime and energy window of these experiments must stay
+    bit-identical across changes to how ``run_programs`` ends a run."""
+    from repro.api.runner import Runner
+
+    rows = Runner().run(experiment).to_dicts()
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == DOLLY_ROW_DIGESTS[experiment]
 
 
 def test_multicore_coherence_is_hash_seed_independent():
