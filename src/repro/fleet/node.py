@@ -35,7 +35,7 @@ import random
 
 from repro.core.control_hub import program_cycles
 from repro.serve.catalog import resolve_accelerator
-from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.serve.scheduler import SERVE_MAX_EVENTS, FabricScheduler, ServeConfig
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
 from repro.sim import Delay, Simulator
@@ -182,7 +182,6 @@ def simulate_node(
     patience_ns: float = 100_000.0,
     state_transfer_ns: float = DEFAULT_STATE_TRANSFER_NS,
     power: bool = False,
-    max_events: int = 20_000_000,
     chaos_events: Tuple[Any, ...] = (),
     chaos_recovery: bool = True,
     failed_fabrics: Tuple[int, ...] = (),
@@ -297,7 +296,7 @@ def simulate_node(
     sim.process(supervisor(), name=f"{node.name}.supervisor")
     for model in energy_models:
         model.begin_window()
-    sim.run(max_events=max_events)
+    sim.run(max_events=SERVE_MAX_EVENTS)
     if chaos_engaged:
         scheduler.flush_pending()
     elapsed_ns = max(sim.now, epoch_ns)

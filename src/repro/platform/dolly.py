@@ -25,6 +25,10 @@ from repro.sim import ClockDomain, Process, SimulationError, Simulator
 #: A workload assignment: (core index, program, positional args).
 ProgramAssignment = Tuple[int, Callable[..., Any], Tuple[Any, ...]]
 
+#: Simulated time run after the programs finish so still-running hardware
+#: settles; it is not part of the reported runtime.
+DRAIN_NS = 5_000.0
+
 
 @dataclass
 class DollySystem:
@@ -86,20 +90,21 @@ class DollySystem:
         self,
         assignments: Sequence[ProgramAssignment],
         max_events: int = 80_000_000,
-        until: Optional[float] = None,
-        drain_ns: float = 5_000.0,
     ) -> Tuple[List[Any], float]:
         """Run one program per assignment to completion.
 
         Returns the list of program results (in assignment order) and the
         elapsed simulated time in nanoseconds, measured from the first
         instruction to the completion of the last program — the "total
-        runtime" quantity used for the speedup figures.  After the programs
-        finish, the simulation is drained for ``drain_ns`` more so that
+        runtime" quantity used for the speedup figures.  The run stops at
+        the end of the instant in which the last program completes, or the
+        first one fails; a failed program's exception is re-raised here.
+        Afterwards the simulation is drained for ``DRAIN_NS`` more so that
         still-running hardware (e.g. an accelerator consuming its stop
         command) can settle; the drain is not part of the reported runtime.
         """
-        start = self.sim.now
+        sim = self.sim
+        start = sim.now
         energy = self.energy
         if energy is not None:
             # Close the pre-run epoch so the measured window's energy is
@@ -109,21 +114,31 @@ class DollySystem:
         for core_index, program, args in assignments:
             core = self.cores[core_index]
             processes.append(core.run(program, *args))
-        self.sim.run(
-            until=until,
-            max_events=max_events,
-            stop_when=lambda: all(process.finished for process in processes),
-        )
+        remaining = len(processes)
+
+        def settle(_outcome: Any) -> None:
+            nonlocal remaining
+            remaining -= 1
+            if remaining == 0 or any(process.failed for process in processes):
+                sim.stop()
+
+        for process in processes:
+            # A callback on ``done`` consumes a failure (run() no longer
+            # raises it), so it is re-raised below.
+            process.done.add_callback(settle)
+        sim.run(max_events=max_events)
+        for process in processes:
+            if process.failed:
+                raise process.done.value
         unfinished = [process for process in processes if not process.finished]
         if unfinished:
             raise SimulationError(
                 f"{len(unfinished)} program(s) did not finish on {self.config.name}"
             )
-        elapsed = self.sim.now - start
+        elapsed = sim.now - start
         if energy is not None:
             energy.end_window()
-        if drain_ns > 0:
-            self.sim.run(until=self.sim.now + drain_ns, max_events=max_events)
+        sim.run(until=sim.now + DRAIN_NS, max_events=max_events)
         return [process.done.value for process in processes], elapsed
 
     def run_single(self, program: Callable[..., Any], *args: Any, core: int = 0,

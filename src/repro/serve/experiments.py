@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.serve.scheduler import FabricScheduler, ServeConfig
+from repro.serve.scheduler import SERVE_MAX_EVENTS, FabricScheduler, ServeConfig
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import TenantSpec, build_sources
 from repro.sim import Simulator
@@ -81,7 +81,6 @@ def run_serve(
     patience_ns: float = 100_000.0,
     seed: int = DEFAULT_SEED,
     power: bool = False,
-    max_events: int = 20_000_000,
     chaos: Optional[Any] = None,
     regions: int = 1,
     region_fabric_scale: float = 1.0,
@@ -179,7 +178,7 @@ def run_serve(
     sim.process(supervisor(), name="serve.supervisor")
     if energy is not None:
         energy.begin_window()
-    sim.run(max_events=max_events)
+    sim.run(max_events=SERVE_MAX_EVENTS)
     if chaos is not None:
         # A chaos run can end with every fabric dead and requests stranded
         # in the queue; shed them so submitted == completed + shed holds.

@@ -60,6 +60,10 @@ from repro.serve.traffic import Request
 from repro.sim import Delay, Simulator, StatSet
 from repro.sim.clock import ClockDomain
 
+#: Livelock guard for one serving simulation (a ``run_serve`` run or one
+#: fleet node epoch): the most callbacks its ``Simulator.run`` may execute.
+SERVE_MAX_EVENTS = 20_000_000
+
 
 # --------------------------------------------------------------------------- #
 # Scheduling policies

@@ -40,8 +40,9 @@ Fast-path design (see ``docs/architecture.md`` for the invariants):
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.event import Event
 
@@ -285,6 +286,7 @@ class Simulator:
         # sequence order) onto it before running the first callback.
         self._immediate: "deque[Tuple[Callable[..., None], Tuple[Any, ...]]]" = deque()
         self._sequence = 0
+        self._stopping = False
         self.events_executed = 0
 
     # ------------------------------------------------------------------ #
@@ -354,79 +356,54 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
+    def stop(self) -> None:
+        """End the current :meth:`run` once this instant's callbacks have run.
+
+        Called from a callback: every callback already queued at the current
+        instant (and any zero-delay work they add) still runs, then ``run()``
+        returns without advancing time.  Later events stay queued for the
+        next ``run()``.
+        """
+        self._stopping = True
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Execute queued events.
 
-        ``until`` bounds simulated time (inclusive); ``max_events`` bounds the
-        number of callbacks executed, which protects tests against accidental
-        livelock; ``stop_when`` is checked after every callback — including
-        the zero-delay ones drained from the immediate deque — and stops the
-        run early when it returns True (used to stop once all measured
-        programs have finished even if background hardware keeps ticking).
-        Returns the simulation time when execution stopped.
+        ``until`` bounds simulated time (inclusive).  ``max_events`` bounds
+        the number of callbacks executed, zero-delay ones included, and
+        raises :class:`SimulationError` when exceeded — a livelock guard.
+        A callback ends the run early with :meth:`stop` (used to stop once
+        all measured programs have finished even if background hardware
+        keeps ticking).  Returns the simulation time when execution stopped.
         """
         heap = self._heap
         immediate = self._immediate
         heappop = heapq.heappop
         imm_popleft = immediate.popleft
-        unchecked = stop_when is None and max_events is None
+        limit = sys.maxsize if max_events is None else max_events
+        self._stopping = False
         executed = 0
         try:
-            if unchecked:
-                # Tight variant: no per-event stop_when/max_events checks.
-                while True:
-                    while immediate:
-                        callback, arg = imm_popleft()
-                        callback(arg)
-                        executed += 1
+            while True:
+                if immediate:
+                    callback, arg = imm_popleft()
+                else:
+                    if self._stopping:
+                        return self._now_ns
                     if not heap:
                         break
                     head = heap[0]
                     time_ns = head[1]
                     if until is not None and time_ns > until:
-                        self._now_ns = until
-                        self._now_ps = ns_to_ps(until)
-                        return until
+                        break
                     heappop(heap)
                     time_ps = head[0]
                     self._now_ps = time_ps
                     self._now_ns = time_ns
-                    # Drain every remaining heap entry at exactly this
-                    # instant onto the immediate deque: they pop in global
-                    # sequence order, so the deque stays FIFO-consistent
-                    # with the order the schedule calls were made.
-                    while heap:
-                        nxt = heap[0]
-                        if nxt[0] != time_ps or nxt[1] != time_ns:
-                            break
-                        heappop(heap)
-                        immediate.append((nxt[3], nxt[4]))
-                    head[3](head[4])
-                    executed += 1
-                if until is not None and until > self._now_ns:
-                    self._now_ns = until
-                    self._now_ps = ns_to_ps(until)
-                return self._now_ns
-            while True:
-                if immediate:
-                    callback, arg = imm_popleft()
-                elif heap:
-                    head = heap[0]
-                    time_ns = head[1]
-                    if until is not None and time_ns > until:
-                        self._now_ns = until
-                        self._now_ps = ns_to_ps(until)
-                        return until
-                    heappop(heap)
-                    time_ps = head[0]
-                    self._now_ps = time_ps
-                    self._now_ns = time_ns
-                    # Same drain-on-advance as the tight variant above.
+                    # Move every remaining heap entry at exactly this instant
+                    # onto the immediate deque: they pop in global sequence
+                    # order, so the deque stays FIFO-consistent with the
+                    # order the schedule calls were made.
                     while heap:
                         nxt = heap[0]
                         if nxt[0] != time_ps or nxt[1] != time_ns:
@@ -435,13 +412,9 @@ class Simulator:
                         immediate.append((nxt[3], nxt[4]))
                     callback = head[3]
                     arg = head[4]
-                else:
-                    break
                 callback(arg)
                 executed += 1
-                if stop_when is not None and stop_when():
-                    return self._now_ns
-                if max_events is not None and executed >= max_events:
+                if executed >= limit:
                     raise SimulationError(
                         f"simulation exceeded max_events={max_events} at t={self._now_ns}ns"
                     )
@@ -452,13 +425,7 @@ class Simulator:
             self._now_ps = ns_to_ps(until)
         return self._now_ns
 
-    def run_process(
-        self,
-        generator: ProcessGenerator,
-        name: str = "",
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> Any:
+    def run_process(self, generator: ProcessGenerator, name: str = "") -> Any:
         """Run ``generator`` to completion and return its value.
 
         This is the main entry point used by the experiment runners: build a
@@ -467,7 +434,7 @@ class Simulator:
         re-raises its exception here rather than returning it as a value.
         """
         process = self.process(generator, name=name)
-        self.run(until=until, max_events=max_events)
+        self.run()
         if not process.finished:
             raise SimulationError(
                 f"process {process.name!r} did not finish (t={self.now}ns)"
@@ -481,11 +448,3 @@ class Simulator:
         """Number of callbacks still waiting (heap plus immediate deque)."""
         return len(self._heap) + len(self._immediate)
 
-
-def wait_all(sim: Simulator, processes: Iterable[Process]) -> ProcessGenerator:
-    """A helper process body that waits for every process in ``processes``."""
-    results = []
-    for process in processes:
-        value = yield process.done
-        results.append(value)
-    return results

@@ -116,6 +116,27 @@ def test_run_programs_reports_elapsed_and_results():
     assert elapsed >= 300.0
 
 
+def test_run_programs_reraises_a_failed_program_at_its_instant():
+    """A crashing program ends the run at the instant it raised, even while
+    another core spins forever, and its own exception surfaces."""
+    system = build_system(DollyConfig.cpu_only(2))
+    flag = system.memory.allocate(64)
+    raised_at = []
+
+    def crasher(ctx):
+        yield from ctx.compute(200)
+        raised_at.append(ctx.now)
+        raise RuntimeError("program crashed")
+
+    def spinner(ctx):
+        while (yield from ctx.load(flag)) == 0:
+            pass
+
+    with pytest.raises(RuntimeError, match="program crashed"):
+        system.run_programs([(0, crasher, ()), (1, spinner, ())])
+    assert raised_at and system.sim.now == raised_at[0]
+
+
 # --------------------------------------------------------------------------- #
 # Area model
 # --------------------------------------------------------------------------- #

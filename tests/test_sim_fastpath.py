@@ -3,7 +3,7 @@
 These pin down the ordering invariants the immediate-run deque and the
 integer-picosecond timeline must preserve (see docs/architecture.md):
 same-timestamp FIFO across heap and deque, event waiter ordering,
-``stop_when`` firing between zero-delay callbacks, explicit failure
+``stop()`` ending a run at the end of its instant, explicit failure
 propagation, a golden-file determinism check on fig9 and row-digest
 pins on further Dolly-path experiments.
 """
@@ -91,18 +91,28 @@ def test_triggered_event_wakes_later_waiters_immediately():
     assert process.done.value == "late"
 
 
-def test_stop_when_fires_between_immediate_callbacks():
-    """stop_when is evaluated after *every* callback, including zero-delay
-    ones drained from the immediate deque within a single instant."""
+def test_stop_finishes_the_instant_and_keeps_later_events_queued():
+    """stop() ends run() once the current instant's callbacks have run:
+    time does not advance, later events stay queued, and a following
+    run() resumes them."""
     sim = Simulator()
     seen = []
-    for tag in ("a", "b", "c", "d"):
-        sim.schedule(0.0, seen.append, tag)
-    sim.run(stop_when=lambda: len(seen) == 2)
-    assert seen == ["a", "b"]
-    assert sim.pending_events == 2
+
+    def stopper(tag):
+        seen.append(tag)
+        sim.stop()
+
+    sim.schedule(5.0, seen.append, "a")
+    sim.schedule(5.0, stopper, "b")
+    sim.schedule(5.0, seen.append, "c")
+    sim.schedule(9.0, seen.append, "later")
+    assert sim.run(until=20.0) == 5.0
+    assert seen == ["a", "b", "c"]
+    assert sim.now == 5.0
+    assert sim.pending_events == 1
     sim.run()
-    assert seen == ["a", "b", "c", "d"]
+    assert seen == ["a", "b", "c", "later"]
+    assert sim.now == 9.0
 
 
 def test_until_does_not_run_future_events_but_drains_current_instant():

@@ -114,12 +114,13 @@ def test_unsupported_command_raises():
         sim.run()
 
 
-def test_max_events_guard():
+@pytest.mark.parametrize("command", [Delay(1.0), None], ids=["timed", "zero_delay"])
+def test_max_events_guard(command):
     sim = Simulator()
 
     def forever():
         while True:
-            yield Delay(1.0)
+            yield command
 
     sim.process(forever())
     with pytest.raises(SimulationError):
