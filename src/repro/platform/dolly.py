@@ -123,8 +123,8 @@ class DollySystem:
                 sim.stop()
 
         for process in processes:
-            # A callback on ``done`` consumes a failure (run() no longer
-            # raises it), so it is re-raised below.
+            # A callback on ``done`` consumes a failure, so run() does not
+            # raise it; it is re-raised below.
             process.done.add_callback(settle)
         sim.run(max_events=max_events)
         for process in processes:
