@@ -313,7 +313,9 @@ def test_fig9_results_match_golden_file():
 
 
 #: SHA-256 of the sorted-key JSON rows of Dolly-path experiments beyond
-#: fig9: synthetic bandwidth, energy windows, DVFS and three applications.
+#: fig9 (synthetic bandwidth, energy windows, DVFS and three applications)
+#: and of the serve and fleet experiments built on the shared deployment
+#: driver (energy wiring, policies, failover, alerting and tracing).
 DOLLY_ROW_DIGESTS = {
     "fig10": "66cebe4d7454825c982f042f97bc16c65cc05acc5ba46ab314b5d060aba9f733",
     "fig11": "47068cb25433a4dcfac02a79d67beaaaef3b18cbdd873284511a7faa6416d7dd",
@@ -322,16 +324,30 @@ DOLLY_ROW_DIGESTS = {
     "app/tangent": "63cbe958dbf663a902f6a5be7dabf92c1b11fe2b860f219c201c5683bc7af4bb",
     "app/popcount": "82b6aecb9c458332773a87757c31117ec01d94d0342a14c985ee9d53e49eff9b",
     "app/sort/32": "6145461793af4977949ac56114ed84e40c9111a69503b9b68b20eb933c8560cd",
+    "serve_energy": "b32428f358d19e1265da0041fc7c5ce6d621cdb1102452ecc735c6cad237d96c",
+    "serve_policy": "61b1b1f88778112ae2f7a63fdac2ca4fe30592870c269aa8c51098cc8ff3988e",
+    "chaos": "3c7b5791acde8b8358253b1c135ddf5fd09b90a9a14afc009d05700edddbbe4f",
+    "fleet_scaling": "33436313330d105437e387319a6312f82cc282ea7f9deeafbefceccb173ef750",
+    "alerting": "ecbf57524a3ce3d953796b0e06e49f2ed92baa7a3765bb28ae50972d9774ec19",
+    "latency_decomposition":
+        "7f5d564026eb1cc61feafcf1b99b31e2c94ba88e94ccdc90fd7dc9031293ed39",
+}
+
+#: Axis overrides that keep the larger sweeps above to about a second.
+ROW_DIGEST_OVERRIDES = {
+    "serve_policy": {"arrival_rate_krps": (150.0,)},
+    "fleet_scaling": {"nodes": (2,)},
 }
 
 
 @pytest.mark.parametrize("experiment", sorted(DOLLY_ROW_DIGESTS))
 def test_dolly_rows_match_recorded_digest(experiment):
     """Every row, runtime and energy window of these experiments must stay
-    bit-identical across changes to how ``run_programs`` ends a run."""
+    bit-identical across changes to how a run is driven and reported."""
     from repro.api.runner import Runner
 
-    rows = Runner().run(experiment).to_dicts()
+    overrides = ROW_DIGEST_OVERRIDES.get(experiment, {})
+    rows = Runner().run(experiment, **overrides).to_dicts()
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == DOLLY_ROW_DIGESTS[experiment]
 
