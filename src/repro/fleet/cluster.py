@@ -37,9 +37,8 @@ from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
 from repro.obs.metrics import MetricsSnapshot
-from repro.serve.slo import REPORT_PERCENTILES
+from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec
-from repro.sim.stats import Histogram
 
 NODE_EXECUTORS: Tuple[str, ...] = ("serial", "process")
 
@@ -333,15 +332,10 @@ def run_fleet(
                        if not report.get("spare")}
             migrated = set()
             if config.chaos is not None:
-                if config.chaos_control == "alerts":
-                    (nodes, spare_pool, persistent_dead, replay_map, migrated,
-                     epoch_promotions, epoch_dead, handled) = _alert_chaos_control(
-                        config, epoch_reports, shares, nodes, spare_pool,
-                        router, engine)
-                else:
-                    (nodes, spare_pool, persistent_dead, replay_map, migrated,
-                     epoch_promotions, epoch_dead, handled) = _chaos_control(
-                        config, epoch_reports, shares, nodes, spare_pool, router)
+                (nodes, spare_pool, persistent_dead, replay_map, migrated,
+                 epoch_promotions, epoch_dead, handled) = _chaos_control(
+                    config, epoch_reports, shares, nodes, spare_pool, router,
+                    engine)
                 promotions += epoch_promotions
                 dead_nodes.extend(epoch_dead)
                 if tracer is not None:
@@ -433,94 +427,24 @@ def _chaos_control(
     nodes: List[NodeSpec],
     spare_pool: List[NodeSpec],
     router: Router,
+    engine=None,
 ):
     """The epoch-boundary failover step (see ``docs/chaos.md``).
 
-    Reads each node's end-of-epoch fault damage and decides what the next
-    epoch looks like: nodes that lost *every* fabric are (with recovery on)
-    removed and replaced by promoting hot spares, the survivors re-placed
-    through the router's real migration path, and the dead nodes' lost
-    requests queued for replay on whichever node their tenant lands on.
-    Partially-damaged nodes soldier on with their dead fabrics carried
-    forward.  With recovery off nothing is replaced: a dead node keeps its
-    tenants and sheds everything — the ablation the chaos experiment
-    quantifies against.
+    Dead fabrics carry forward unconditionally: damage does not wait for
+    detection.  With recovery on, the step then picks the suspect nodes —
+    ``omniscient`` control reads the simulator's damage reports (nodes that
+    lost *every* fabric), ``alerts`` control only what a real control plane
+    has, the alert engine's firing critical alerts — and fails each over:
+    the node leaves the cluster, a hot spare is promoted in its place, the
+    survivors are re-placed through the router's real migration path, and
+    the node's lost requests (its per-tenant ``fault_shed``) are queued for
+    replay on whichever node their tenant lands on.  The last node is never
+    failed over without a spare to take its tenants: it stays and keeps
+    shedding, and the step reports nothing handled so the autoscaler can
+    still grow the cluster.  With recovery off nothing is replaced — the
+    ablation the chaos experiment quantifies against.
     """
-    recovery = config.chaos.recovery if config.chaos is not None else True
-    persistent_dead: Dict[int, Tuple[int, ...]] = {}
-    fully_dead: List[Dict[str, Any]] = []
-    for report in epoch_reports:
-        if report.get("spare") or not report.get("chaos"):
-            continue
-        dead = tuple(report["chaos"]["dead_fabrics"])
-        if not dead:
-            continue
-        if len(dead) >= report["fabrics"] and recovery:
-            fully_dead.append(report)
-        else:
-            # Partial damage (or no recovery at all): carry it forward.
-            persistent_dead[report["node_id"]] = dead
-    if not fully_dead:
-        return (nodes, spare_pool, persistent_dead, {}, set(), 0, [], False)
-
-    promotions = 0
-    epoch_dead: List[int] = []
-    survivors = list(nodes)
-    for report in sorted(fully_dead, key=lambda r: r["node_id"]):
-        if len(survivors) <= 1 and not spare_pool:
-            # Never fail over to an empty cluster; the last node stays (and
-            # keeps shedding) rather than leaving tenants unplaceable.
-            persistent_dead[report["node_id"]] = tuple(
-                report["chaos"]["dead_fabrics"])
-            continue
-        epoch_dead.append(report["node_id"])
-        survivors = [n for n in survivors if n.node_id != report["node_id"]]
-        if spare_pool:
-            survivors.append(replace(spare_pool.pop(0), spare=False))
-            promotions += 1
-    survivors.sort(key=lambda n: n.node_id)
-    migrated = router.place(shares, survivors)
-    # Replay what the dead nodes lost, on whichever node each tenant
-    # landed.  sorted() keeps the burst order canonical.
-    replay_lists: Dict[int, List[Tuple[str, int]]] = {}
-    for report in fully_dead:
-        if report["node_id"] not in epoch_dead:
-            continue
-        for name, account in report["tenants"].items():
-            lost = int(account.get("fault_shed", 0))
-            target = router.placement.get(name)
-            if lost > 0 and target is not None:
-                replay_lists.setdefault(target, []).append((name, lost))
-    replay_map = {node_id: tuple(sorted(pairs))
-                  for node_id, pairs in replay_lists.items()}
-    return (survivors, spare_pool, persistent_dead, replay_map, migrated,
-            promotions, epoch_dead, True)
-
-
-def _alert_chaos_control(
-    config: FleetConfig,
-    epoch_reports: List[Dict[str, Any]],
-    shares: Tuple[TenantShare, ...],
-    nodes: List[NodeSpec],
-    spare_pool: List[NodeSpec],
-    router: Router,
-    engine,
-):
-    """The epoch-boundary failover step, driven by fired alerts only.
-
-    The omniscient :func:`_chaos_control` reads the simulator's damage
-    reports; here the control plane is allowed exactly what a real one
-    has — the alert engine's firing state over the telemetry stream.
-    Physics still propagates regardless (a broken fabric stays broken
-    next epoch whether or not anyone noticed), but the *decisions* —
-    which node to fail over, when to promote a spare, what to replay —
-    key off critical alerts.  Replay counts come from the failed node's
-    per-tenant ``fault_shed`` telemetry totals, which are observable (a
-    router retains what it forwarded and saw shed back).
-    """
-    recovery = config.chaos.recovery if config.chaos is not None else True
-    # Plant state: dead fabrics carry forward unconditionally — damage
-    # does not wait for detection.
     persistent_dead: Dict[int, Tuple[int, ...]] = {}
     for report in epoch_reports:
         if report.get("spare") or not report.get("chaos"):
@@ -528,20 +452,25 @@ def _alert_chaos_control(
         dead = tuple(report["chaos"]["dead_fabrics"])
         if dead:
             persistent_dead[report["node_id"]] = dead
-    active_ids = {node.node_id for node in nodes}
-    suspects = sorted({node_id for _, node_id in engine.firing("critical")
-                       if node_id in active_ids}) if recovery else []
-    if not suspects:
-        return (nodes, spare_pool, persistent_dead, {}, set(), 0, [], False)
-
     by_node = {report["node_id"]: report for report in epoch_reports}
+    if not config.chaos.recovery:
+        suspects: List[int] = []
+    elif config.chaos_control == "alerts":
+        active_ids = {node.node_id for node in nodes}
+        suspects = sorted({node_id for _, node_id in engine.firing("critical")
+                           if node_id in active_ids})
+    else:
+        suspects = sorted(node_id for node_id, dead in persistent_dead.items()
+                          if len(dead) >= by_node[node_id]["fabrics"])
+
     promotions = 0
     epoch_dead: List[int] = []
     survivors = list(nodes)
     for node_id in suspects:
         if len(survivors) <= 1 and not spare_pool:
-            continue
+            continue  # the last-node rule
         epoch_dead.append(node_id)
+        persistent_dead.pop(node_id, None)  # the node left the cluster
         survivors = [n for n in survivors if n.node_id != node_id]
         if spare_pool:
             survivors.append(replace(spare_pool.pop(0), spare=False))
@@ -550,14 +479,11 @@ def _alert_chaos_control(
         return (nodes, spare_pool, persistent_dead, {}, set(), 0, [], False)
     survivors.sort(key=lambda n: n.node_id)
     migrated = router.place(shares, survivors)
+    # sorted() keeps each target's burst order canonical.
     replay_lists: Dict[int, List[Tuple[str, int]]] = {}
     for node_id in epoch_dead:
-        persistent_dead.pop(node_id, None)  # the node left the cluster
-        report = by_node.get(node_id)
-        if report is None:
-            continue
-        for name, account in report["tenants"].items():
-            lost = int(account.get("fault_shed", 0))
+        for name, account in by_node[node_id]["tenants"].items():
+            lost = account["fault_shed"]
             target = router.placement.get(name)
             if lost > 0 and target is not None:
                 replay_lists.setdefault(target, []).append((name, lost))
@@ -577,31 +503,23 @@ def _merge_reports(reports: List[Dict[str, Any]],
     """Fold per-(node, epoch) reports into per-tenant + ``__all__`` rows.
 
     Reports are consumed sorted by ``(epoch, node_id)`` — the canonical
-    order no matter which executor produced them — so sample concatenation
-    (and therefore every percentile) is reproducible bit for bit.
+    order no matter which executor produced them — so every float sum and
+    the sample concatenation (and therefore every percentile) are
+    reproducible bit for bit.
     """
     ordered = sorted(reports, key=lambda r: (r["epoch"], r["node_id"]))
-    chaos = config.chaos is not None
-    per_tenant: Dict[str, Dict[str, Any]] = {}
+    accounts: Dict[str, TenantAccount] = {}
+    samples: Dict[str, List[float]] = {}
     for report in ordered:
-        for name, account in report["tenants"].items():
-            bucket = per_tenant.setdefault(name, {
-                "submitted": 0, "completed": 0, "shed": 0, "good": 0,
-                "slo_violations": 0, "slo_ns": account["slo_ns"],
-                "service_ns_total": 0.0, "queue_wait_ns_total": 0.0,
-                "samples": [],
-                "fault_shed": 0, "replayed": 0, "recovery_time_ns": 0.0,
-            })
-            for key in ("submitted", "completed", "shed", "good",
-                        "slo_violations"):
-                bucket[key] += account[key]
-            bucket["service_ns_total"] += account["service_ns_total"]
-            bucket["queue_wait_ns_total"] += account["queue_wait_ns_total"]
-            bucket["samples"].extend(account["latency_samples"])
-            if chaos:
-                bucket["fault_shed"] += account.get("fault_shed", 0)
-                bucket["replayed"] += account.get("replayed", 0)
-                bucket["recovery_time_ns"] += account.get("recovery_time_ns", 0.0)
+        for name, entry in report["tenants"].items():
+            fields = dict(entry)
+            latencies = fields.pop("latency_samples")
+            if name not in accounts:
+                accounts[name] = TenantAccount(name=name,
+                                               slo_ns=fields["slo_ns"])
+                samples[name] = []
+            accounts[name].add(TenantAccount(**fields))
+            samples[name].extend(latencies)
 
     epochs = sorted({r["epoch"] for r in ordered})
     elapsed_ns = sum(max(r["elapsed_ns"] for r in ordered if r["epoch"] == e)
@@ -623,6 +541,7 @@ def _merge_reports(reports: List[Dict[str, Any]],
     }
     if config.power:
         totals["energy_nj"] = sum(r["energy_pj"] for r in ordered) / 1000.0
+    chaos = config.chaos is not None
     if chaos:
         chaos_reports = [r["chaos"] for r in ordered if r.get("chaos")]
         for key in ("faults_injected", "fabric_faults", "requests_lost",
@@ -631,55 +550,10 @@ def _merge_reports(reports: List[Dict[str, Any]],
         totals["spare_us"] = sum(
             r["cost_weight"] * epoch_ns / 1000.0
             for r in ordered if r.get("spare"))
-
-    rows: List[Dict[str, Any]] = []
-    cluster = {"submitted": 0, "completed": 0, "shed": 0, "good": 0,
-               "slo_violations": 0, "slo_ns": 0.0,
-               "service_ns_total": 0.0, "queue_wait_ns_total": 0.0,
-               "samples": [],
-               "fault_shed": 0, "replayed": 0, "recovery_time_ns": 0.0}
-    for name in sorted(per_tenant):
-        bucket = per_tenant[name]
-        rows.append(_row(name, bucket, elapsed_ns, extra, totals, chaos=chaos))
-        for key in ("submitted", "completed", "shed", "good", "slo_violations",
-                    "fault_shed", "replayed"):
-            cluster[key] += bucket[key]
-        cluster["service_ns_total"] += bucket["service_ns_total"]
-        cluster["queue_wait_ns_total"] += bucket["queue_wait_ns_total"]
-        cluster["recovery_time_ns"] += bucket["recovery_time_ns"]
-        cluster["samples"].extend(bucket["samples"])
-    rows.append(_row("__all__", cluster, elapsed_ns, extra, totals, chaos=chaos))
-    return rows
-
-
-def _row(name: str, bucket: Dict[str, Any], elapsed_ns: float,
-         extra: Dict[str, Any], totals: Dict[str, Any],
-         chaos: bool = False) -> Dict[str, Any]:
-    histogram = Histogram(name, samples=bucket["samples"])
-    completed = bucket["completed"]
-    row: Dict[str, Any] = dict(extra)
-    row.update({
-        "tenant": name,
-        "submitted": bucket["submitted"],
-        "completed": completed,
-        "shed": bucket["shed"],
-        "slo_violations": bucket["slo_violations"],
-        "slo_ns": bucket["slo_ns"],
-        "goodput_krps": bucket["good"] / elapsed_ns * 1e6 if elapsed_ns else 0.0,
-        "throughput_krps": completed / elapsed_ns * 1e6 if elapsed_ns else 0.0,
-        "mean_latency_us": histogram.mean / 1000.0,
-        "mean_queue_wait_us": (bucket["queue_wait_ns_total"] / completed / 1000.0
-                               if completed else 0.0),
-    })
-    for label, fraction in REPORT_PERCENTILES:
-        row[f"{label}_latency_us"] = histogram.percentile(fraction) / 1000.0
-    row["max_latency_us"] = histogram.maximum / 1000.0
-    if chaos:
-        row["fault_shed"] = bucket["fault_shed"]
-        row["replayed"] = bucket["replayed"]
-        row["recovery_time_ns"] = bucket["recovery_time_ns"]
-    row.update(totals)
     busy_us = totals["service_us_total"] + totals["reconfig_us_total"]
-    row["reconfig_overhead"] = (totals["reconfig_us_total"] / busy_us
-                                if busy_us > 0 else 0.0)
-    return row
+    rows = tenant_rows(accounts, samples, elapsed_ns, extra, chaos=chaos)
+    for row in rows:
+        row.update(totals)
+        row["reconfig_overhead"] = (totals["reconfig_us_total"] / busy_us
+                                    if busy_us > 0 else 0.0)
+    return rows

@@ -35,8 +35,8 @@ import random
 
 from repro.core.control_hub import program_cycles
 from repro.serve.catalog import resolve_accelerator
-from repro.serve.scheduler import SERVE_MAX_EVENTS, FabricScheduler, ServeConfig
-from repro.serve.slo import SloMonitor
+from repro.serve.experiments import Deployment
+from repro.serve.scheduler import FabricScheduler, ServeConfig
 from repro.serve.traffic import Request, TenantSpec, TrafficSource
 from repro.sim import Delay, Simulator
 
@@ -122,26 +122,6 @@ def migration_stall_ns(scheduler: FabricScheduler, accelerator: str,
     return cycles * 1000.0 / system_mhz + state_transfer_ns
 
 
-def _attach_node_energy(sim: Simulator, scheduler: FabricScheduler):
-    """One :class:`EnergyModel` per fabric (each tracks its own eFPGA clock
-    domain); the node's energy is their sum."""
-    from repro.power.model import EnergyModel, PowerConfig
-
-    area_mm2 = max(accelerator.synthesis.area_mm2
-                   for accelerator in scheduler.accelerators.values())
-    models = []
-    for fabric in scheduler.fabrics:
-        energy = EnergyModel(PowerConfig(enabled=True), sim,
-                             name=f"{fabric.name}.energy")
-        energy.sys_domain = scheduler.sys_domain
-        energy.fpga_domain = fabric.clock_generator.fpga_domain
-        energy.num_tiles = 1
-        energy.set_efpga_area(area_mm2)
-        fabric.energy = energy
-        models.append(energy)
-    return models
-
-
 def _replay_burst(sim: Simulator, scheduler: FabricScheduler,
                   tenant: TenantSpec, count: int, seed: int,
                   start_delay_ns: float, start_id: int):
@@ -211,7 +191,6 @@ def simulate_node(
     global fleet timeline) only when enabled, so monitor-off reports keep
     their exact shape.
     """
-    sim = Simulator()
     config = ServeConfig(
         policy=policy,
         num_fabrics=node.fabrics,
@@ -222,32 +201,15 @@ def simulate_node(
         accelerators=tuple(dict.fromkeys(
             share.tenant.accelerator for share in shares)) or ("popcount",),
     )
-    monitor = SloMonitor(sim, name=node.name)
-    scheduler = FabricScheduler(sim, config, monitor=monitor)
-    telemetry = None
-    if telemetry_window_us is not None:
-        from repro.obs.monitor import TelemetryMonitor
-
-        telemetry = TelemetryMonitor(
-            monitor, telemetry_window_us * 1000.0, node_id=node.node_id,
-            epoch=epoch, t0_ps=epoch * int(round(epoch_ns * 1000.0)),
-            scheduler=scheduler)
-        scheduler.observe(telemetry)
-    energy_models = _attach_node_energy(sim, scheduler) if power else []
-
     chaos_engaged = bool(chaos_events) or bool(failed_fabrics) or bool(replays)
-    if chaos_engaged:
-        scheduler.recovery = chaos_recovery
-        # Damage carried over from earlier epochs: dead before t=0, no new
-        # fault window opens (the impact was accounted when it happened).
-        for index in failed_fabrics:
-            if 0 <= index < len(scheduler.fabrics):
-                scheduler.fabrics[index].fail(reason="carryover")
-        if chaos_events:
-            from repro.chaos import FaultInjector
-
-            FaultInjector(sim, scheduler, chaos_events,
-                          recovery=chaos_recovery)
+    deployment = Deployment(
+        config, node.name, telemetry_window_us=telemetry_window_us,
+        node_id=node.node_id, epoch=epoch,
+        t0_ps=epoch * int(round(epoch_ns * 1000.0)), power=power,
+        faults=chaos_events if chaos_engaged else None,
+        recovery=chaos_recovery, failed_fabrics=failed_fabrics)
+    sim, monitor = deployment.sim, deployment.monitor
+    scheduler = deployment.scheduler
 
     migrations = 0
     stall_ns_total = 0.0
@@ -286,40 +248,15 @@ def simulate_node(
                               start_id=(epoch * len(shares) + index)
                               * 1_000_000 + 500_000),
                 name=f"{node.name}.replay.{name}"))
+    elapsed_ns = deployment.run(processes, epoch_ns)
 
-    def supervisor():
-        for process in processes:
-            if not process.finished:
-                yield process
-        scheduler.close()
-
-    sim.process(supervisor(), name=f"{node.name}.supervisor")
-    for model in energy_models:
-        model.begin_window()
-    sim.run(max_events=SERVE_MAX_EVENTS)
-    if chaos_engaged:
-        scheduler.flush_pending()
-    elapsed_ns = max(sim.now, epoch_ns)
-    for model in energy_models:
-        model.end_window()
-
+    # Each tenant's TenantAccount fields plus its raw latency samples, so
+    # the cluster merge can compute exact percentiles.
     tenants: Dict[str, Dict[str, Any]] = {}
     for name in sorted(monitor.accounts):
-        account = monitor.accounts[name]
-        tenants[name] = {
-            "submitted": account.submitted,
-            "completed": account.completed,
-            "shed": account.shed,
-            "good": account.good,
-            "slo_violations": account.slo_violations,
-            "slo_ns": account.slo_ns,
-            "service_ns_total": account.service_ns_total,
-            "queue_wait_ns_total": account.queue_wait_ns_total,
-            "latency_samples": list(monitor.latency_histogram(name).samples),
-            "fault_shed": account.fault_shed,
-            "replayed": account.replayed,
-            "recovery_time_ns": account.recovery_time_ns,
-        }
+        samples = list(monitor.latency_histogram(name).samples)
+        tenants[name] = dict(vars(monitor.accounts[name]),
+                             latency_samples=samples)
 
     totals = scheduler.fabric_totals()
     busy_ns = (totals["service_us_total"] + totals["reconfig_us_total"]) * 1000.0
@@ -328,8 +265,6 @@ def simulate_node(
     # report is plain JSON data by contract).  Gauges carry the steering
     # signals so a fleet-level snapshot merge can reason about peaks
     # without re-reading every report.
-    from repro.obs.metrics import MetricsSnapshot
-
     scheduler.metrics.gauge("queue_depth_mean").set(
         monitor.queue_depth.time_weighted_mean())
     scheduler.metrics.gauge("busy_fraction").set(
@@ -341,15 +276,12 @@ def simulate_node(
         peak_depth = max(monitor.queue_depth.values, default=0.0)
         scheduler.metrics.gauge("free_capacity", mode="min").set(
             queue_capacity - peak_depth)
-    metrics = MetricsSnapshot.merged(
-        (scheduler.metrics.snapshot(), monitor.metrics.snapshot())).as_dict()
-    energy_pj = sum(model.last_window_pj or 0.0 for model in energy_models)
+    energy_pj = sum(model.last_window_pj or 0.0 for model in deployment.energy)
     breakdown: Dict[str, float] = {}
-    for model in energy_models:
+    for model in deployment.energy:
         for domain, pj in model.last_window_breakdown.items():
             breakdown[domain] = breakdown.get(domain, 0.0) + pj
-    if telemetry is not None:
-        telemetry.finalize(elapsed_ns)
+    telemetry = deployment.telemetry
     report_extra: Dict[str, Any] = (
         {"telemetry": telemetry.stream.as_dict()} if telemetry is not None else {})
     return {
@@ -372,22 +304,15 @@ def simulate_node(
         "service_us_total": totals["service_us_total"],
         "migrations": migrations,
         "migration_stall_ns": stall_ns_total,
-        "metrics": metrics,
+        "metrics": deployment.metrics().as_dict(),
         "energy_pj": energy_pj,
         "energy_breakdown": breakdown,
         # -- chaos (empty/zeroed unless this epoch engaged faults) -------- #
         "spare": node.spare,
-        "chaos": {
-            "faults_injected": scheduler.fault_stats["faults_injected"],
-            "fabric_faults": scheduler.fault_stats["fabric_faults"],
-            "requests_lost": scheduler.fault_stats["requests_lost"],
-            "replayed": scheduler.fault_stats["replayed"],
-            "fault_shed": scheduler.fault_stats["fault_shed"],
-            "seu_scrubs": scheduler.fault_stats["seu_scrubs"],
-            "link_faults": scheduler.fault_stats["link_faults"],
-            #: Fabric indices still dead at epoch end (permanent damage the
-            #: cluster carries into the next epoch as ``failed_fabrics``).
-            "dead_fabrics": sorted(
-                fabric.index for fabric in scheduler.fabrics if fabric.failed),
-        } if chaos_engaged else None,
+        # ``dead_fabrics``: indices still dead at epoch end (permanent
+        # damage the cluster carries into the next epoch as
+        # ``failed_fabrics``).
+        "chaos": dict(scheduler.fault_stats, dead_fabrics=sorted(
+            fabric.index for fabric in scheduler.fabrics if fabric.failed),
+        ) if chaos_engaged else None,
     }

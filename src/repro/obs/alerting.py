@@ -7,10 +7,11 @@ for the rate-scaled families):
 * ``fault``: ``none`` (no chaos — the false-alarm floor), ``kill`` (the
   pinned whole-node fabric kill from :mod:`repro.chaos.experiments`),
   ``seu`` / ``link`` (rate-scaled background noise only);
-* ``control``: ``omniscient`` (the chaos layer's epoch-boundary recovery,
-  which reads simulator state directly) vs ``alerts`` (failover, spare
-  promotion and replay keyed off *fired alerts alone* — see
-  :func:`repro.fleet.cluster._alert_chaos_control`).
+* ``control``: the detector of the one epoch-boundary failover step
+  (:func:`repro.fleet.cluster._chaos_control`) — ``omniscient`` reads the
+  simulator's damage reports directly, ``alerts`` suspects a node only
+  when a critical alert fires for it; failover, spare promotion and
+  replay then run the same way for both.
 
 Because the experiment holds the injected :class:`~repro.chaos.schedule.\
 FaultSchedule`, it can score the alert log exactly

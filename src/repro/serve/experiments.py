@@ -21,8 +21,9 @@ built in :mod:`repro.api.registry`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.metrics import MetricsSnapshot
 from repro.serve.scheduler import SERVE_MAX_EVENTS, FabricScheduler, ServeConfig
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import TenantSpec, build_sources
@@ -69,8 +70,117 @@ def get_mix(name: str) -> Tuple[TenantSpec, ...]:
 
 
 # --------------------------------------------------------------------------- #
-# The serve driver shared by both experiments (and the perf benchmark)
+# The deployment driver shared by serve runs and fleet nodes
 # --------------------------------------------------------------------------- #
+class Deployment:
+    """One serving deployment, built, instrumented and run the same way for
+    a standalone serve run and for every (node, epoch) of a fleet.
+
+    The constructor builds the simulator, SLO monitor and scheduler (whose
+    workers are the first processes), subscribes the observers (telemetry
+    first, then a :class:`repro.obs.trace.ServeTrace` into ``tracer``),
+    attaches one :class:`EnergyModel` per fabric with ``power`` and arms
+    the fault events.  ``faults`` (a sequence of
+    :class:`~repro.chaos.FaultEvent`, possibly empty) arms the deployment
+    for chaos: ``failed_fabrics`` are dead before t=0 and stranded requests
+    are shed at the end; ``None`` leaves it fault-free.  The caller starts
+    its own traffic and hands those processes to :meth:`run`.
+    """
+
+    def __init__(self, config: ServeConfig, name: str = "serve", *,
+                 telemetry_window_us: Optional[float] = None,
+                 node_id: int = 0, epoch: int = 0, t0_ps: int = 0,
+                 tracer: Optional[Any] = None, power: bool = False,
+                 faults: Optional[Sequence[Any]] = None, recovery: bool = True,
+                 failed_fabrics: Sequence[int] = ()) -> None:
+        self.name = name
+        self.sim = sim = Simulator()
+        self.monitor = SloMonitor(sim, name=name)
+        self.scheduler = scheduler = FabricScheduler(sim, config,
+                                                     monitor=self.monitor)
+        self.telemetry = None
+        if telemetry_window_us is not None:
+            from repro.obs.monitor import TelemetryMonitor
+
+            self.telemetry = TelemetryMonitor(
+                self.monitor, telemetry_window_us * 1000.0, node_id=node_id,
+                epoch=epoch, t0_ps=t0_ps, scheduler=scheduler)
+            scheduler.observe(self.telemetry)
+        if tracer:
+            from repro.obs.trace import ServeTrace
+
+            scheduler.observe(ServeTrace(tracer, sim))
+        self.energy = _attach_energy(sim, scheduler) if power else []
+        self.chaos = faults is not None
+        if self.chaos:
+            scheduler.recovery = recovery
+            # Damage carried over from earlier epochs: dead before t=0, no
+            # new fault window opens (the impact was accounted when it
+            # happened).
+            for index in failed_fabrics:
+                if 0 <= index < len(scheduler.fabrics):
+                    scheduler.fabrics[index].fail(reason="carryover")
+            if faults:
+                from repro.chaos import FaultInjector
+
+                FaultInjector(sim, scheduler, faults, recovery=recovery)
+
+    def run(self, processes: Sequence[Any], window_ns: float) -> float:
+        """Run until ``processes`` finish and the scheduler drains; returns
+        the measured window, from t=0 to the last completion but never
+        shorter than ``window_ns``."""
+        scheduler = self.scheduler
+
+        def supervisor():
+            for process in processes:
+                if not process.finished:
+                    yield process
+            scheduler.close()
+
+        self.sim.process(supervisor(), name=f"{self.name}.supervisor")
+        for model in self.energy:
+            model.begin_window()
+        self.sim.run(max_events=SERVE_MAX_EVENTS)
+        if self.chaos:
+            # A chaos run can end with every fabric dead and requests
+            # stranded in the queue; shed them so submitted == completed +
+            # shed holds.
+            scheduler.flush_pending()
+        elapsed_ns = max(self.sim.now, window_ns)
+        for model in self.energy:
+            model.end_window()
+        if self.telemetry is not None:
+            self.telemetry.finalize(elapsed_ns)
+        return elapsed_ns
+
+    def metrics(self) -> MetricsSnapshot:
+        """The scheduler and SLO registries as one snapshot."""
+        return MetricsSnapshot.merged((self.scheduler.metrics.snapshot(),
+                                       self.monitor.metrics.snapshot()))
+
+
+def _attach_energy(sim: Simulator, scheduler: FabricScheduler) -> List[Any]:
+    """One :class:`EnergyModel` per fabric, each tracking its own eFPGA
+    clock domain; the deployment's energy is their sum."""
+    from repro.power.model import EnergyModel, PowerConfig
+
+    # The fabric silicon is provisioned for the largest catalog bitstream
+    # it may host (fixed leakage area, like real silicon).
+    area_mm2 = max(accelerator.synthesis.area_mm2
+                   for accelerator in scheduler.accelerators.values())
+    models = []
+    for fabric in scheduler.fabrics:
+        energy = EnergyModel(PowerConfig(enabled=True), sim,
+                             name=f"{fabric.name}.energy")
+        energy.sys_domain = scheduler.sys_domain
+        energy.fpga_domain = fabric.clock_generator.fpga_domain
+        energy.num_tiles = 1  # one control tile
+        energy.set_efpga_area(area_mm2)
+        fabric.energy = energy
+        models.append(energy)
+    return models
+
+
 def run_serve(
     policy: str,
     tenant_mix: str = "duo",
@@ -123,8 +233,12 @@ def run_serve(
             "power accounting is not supported with regions > 1: the "
             "EnergyModel tracks one shared eFPGA clock domain, but a "
             "region grid runs each resident design at its own clock")
+    if power and num_fabrics != 1:
+        raise ValueError(
+            "energy accounting supports exactly one fabric per serve run "
+            "(the energy columns read one eFPGA clock domain), got "
+            f"{num_fabrics}")
     tenants = get_mix(tenant_mix)
-    sim = Simulator()
     config = ServeConfig(
         policy=policy,
         num_fabrics=num_fabrics,
@@ -134,58 +248,24 @@ def run_serve(
         regions=regions,
         region_fabric_scale=region_fabric_scale,
     )
-    monitor = SloMonitor(sim)
-    scheduler = FabricScheduler(sim, config, monitor=monitor)
-    telemetry = None
-    if telemetry_window_us is not None:
-        from repro.obs.monitor import TelemetryMonitor
-
-        telemetry = TelemetryMonitor(monitor, telemetry_window_us * 1000.0,
-                                     scheduler=scheduler)
-        scheduler.observe(telemetry)
-    if tracer:
-        from repro.obs.trace import ServeTrace
-
-        scheduler.observe(ServeTrace(tracer, sim))
-
-    energy = None
-    if power:
-        energy = _attach_energy(sim, scheduler)
-
     duration_ns = duration_us * 1000.0
+    faults, recovery = None, True
     if chaos is not None:
-        from repro.chaos import FaultInjector
-
-        FaultInjector(
-            sim, scheduler,
-            chaos.schedule.events(
-                epoch=0, node_id=0, fabrics=num_fabrics, epoch_ns=duration_ns),
-            recovery=chaos.recovery,
-        )
+        faults = chaos.schedule.events(
+            epoch=0, node_id=0, fabrics=num_fabrics, epoch_ns=duration_ns)
+        recovery = chaos.recovery
+    deployment = Deployment(
+        config, telemetry_window_us=telemetry_window_us, tracer=tracer,
+        power=power, faults=faults, recovery=recovery)
+    scheduler, monitor = deployment.scheduler, deployment.monitor
     sources = build_sources(
-        sim, tenants, scheduler.submit,
+        deployment.sim, tenants, scheduler.submit,
         total_rate_rps=arrival_rate_krps * 1000.0,
         duration_ns=duration_ns, seed=seed,
     )
-    processes = [process for source in sources for process in source.start()]
-
-    def supervisor():
-        for process in processes:
-            if not process.finished:
-                yield process
-        scheduler.close()
-
-    sim.process(supervisor(), name="serve.supervisor")
-    if energy is not None:
-        energy.begin_window()
-    sim.run(max_events=SERVE_MAX_EVENTS)
-    if chaos is not None:
-        # A chaos run can end with every fabric dead and requests stranded
-        # in the queue; shed them so submitted == completed + shed holds.
-        scheduler.flush_pending()
-    elapsed_ns = max(sim.now, duration_ns)
-    if energy is not None:
-        energy.end_window()
+    elapsed_ns = deployment.run(
+        [process for source in sources for process in source.start()],
+        duration_ns)
 
     totals = scheduler.fabric_totals()
     extra: Dict[str, Any] = {
@@ -201,8 +281,8 @@ def run_serve(
         row["reconfig_overhead"] = (
             totals["reconfig_us_total"] / busy_us if busy_us > 0 else 0.0)
         row["elapsed_us"] = elapsed_ns / 1000.0
-    if energy is not None:
-        _add_energy_columns(rows, energy)
+    if power:
+        _add_energy_columns(rows, deployment.energy[0])
     if regions > 1:
         region_totals = scheduler.region_totals()
         for row in rows:
@@ -214,41 +294,11 @@ def run_serve(
         chaos_totals = scheduler.chaos_totals()
         for row in rows:
             row.update(chaos_totals)
-    from repro.obs.metrics import MetricsSnapshot
-
-    if telemetry:
-        telemetry.finalize(elapsed_ns)
+    telemetry = deployment.telemetry
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
-            "energy": energy, "elapsed_ns": elapsed_ns, "tracer": tracer,
-            "metrics": MetricsSnapshot.merged(
-                (scheduler.metrics.snapshot(), monitor.metrics.snapshot())),
+            "elapsed_ns": elapsed_ns, "metrics": deployment.metrics(),
             "telemetry": telemetry.stream if telemetry else None,
             "chaos": scheduler.chaos_totals() if chaos is not None else None}
-
-
-def _attach_energy(sim: Simulator, scheduler: FabricScheduler):
-    """Wire a standalone :class:`EnergyModel` onto a one-fabric deployment."""
-    from repro.power.model import EnergyModel, PowerConfig
-
-    if len(scheduler.fabrics) != 1:
-        raise ValueError(
-            "energy accounting supports exactly one fabric per deployment "
-            f"(the EnergyModel tracks one eFPGA clock domain), got "
-            f"{len(scheduler.fabrics)}"
-        )
-    fabric = scheduler.fabrics[0]
-    energy = EnergyModel(PowerConfig(enabled=True), sim, name="serve.energy")
-    energy.sys_domain = scheduler.sys_domain
-    energy.fpga_domain = fabric.clock_generator.fpga_domain
-    # One control tile; the fabric silicon is provisioned for the largest
-    # catalog bitstream it may host (fixed leakage area, like real silicon).
-    energy.num_tiles = 1
-    energy.set_efpga_area(max(
-        accelerator.synthesis.area_mm2
-        for accelerator in scheduler.accelerators.values()
-    ))
-    fabric.energy = energy
-    return energy
 
 
 def _add_energy_columns(rows: List[Dict[str, Any]], energy) -> None:

@@ -55,6 +55,76 @@ class TenantAccount:
     #: Sum over faults of (first post-fault completion - fault instant).
     recovery_time_ns: float = 0.0
 
+    def add(self, other: "TenantAccount") -> None:
+        """Fold ``other``'s counts into this account (name and SLO kept)."""
+        self.submitted += other.submitted
+        self.completed += other.completed
+        self.shed += other.shed
+        self.slo_violations += other.slo_violations
+        self.good += other.good
+        self.service_ns_total += other.service_ns_total
+        self.queue_wait_ns_total += other.queue_wait_ns_total
+        self.fault_shed += other.fault_shed
+        self.replayed += other.replayed
+        self.recovery_time_ns += other.recovery_time_ns
+
+
+def tenant_rows(accounts: Dict[str, TenantAccount],
+                samples: Dict[str, List[float]], elapsed_ns: float,
+                extra: Optional[Dict[str, Any]] = None,
+                chaos: bool = False) -> List[Dict[str, Any]]:
+    """One report row per tenant plus an ``__all__`` aggregate row.
+
+    ``samples`` holds each tenant's latencies (ns); ``elapsed_ns`` is the
+    measured window (goodput denominator); ``extra`` columns (policy,
+    rate, ...) are prepended to every row; ``chaos`` adds the fault
+    columns.  Rows are emitted in tenant-name order, and the aggregate sums
+    in that order, so reports are deterministic regardless of completion
+    interleaving.  Serve runs and the fleet merge share this one builder.
+    """
+    if elapsed_ns <= 0:
+        raise ValueError(f"elapsed_ns must be positive, got {elapsed_ns}")
+    rows: List[Dict[str, Any]] = []
+    totals = TenantAccount(name="__all__")
+    all_samples: List[float] = []
+    for name in sorted(accounts):
+        account = accounts[name]
+        totals.add(account)
+        all_samples.extend(samples[name])
+        rows.append(_row(account, samples[name], elapsed_ns, extra, chaos))
+    rows.append(_row(totals, all_samples, elapsed_ns, extra, chaos))
+    return rows
+
+
+def _row(account: TenantAccount, samples: List[float], elapsed_ns: float,
+         extra: Optional[Dict[str, Any]], chaos: bool) -> Dict[str, Any]:
+    histogram = Histogram(account.name, samples=samples)
+    row: Dict[str, Any] = dict(extra or {})
+    completed = account.completed
+    row.update({
+        "tenant": account.name,
+        "submitted": account.submitted,
+        "completed": completed,
+        "shed": account.shed,
+        "slo_violations": account.slo_violations,
+        "slo_ns": account.slo_ns,
+        "goodput_krps": account.good / elapsed_ns * 1e6,
+        "throughput_krps": completed / elapsed_ns * 1e6,
+        "mean_latency_us": histogram.mean / 1000.0,
+        "mean_queue_wait_us": (
+            account.queue_wait_ns_total / completed / 1000.0 if completed else 0.0),
+    })
+    for label, fraction in REPORT_PERCENTILES:
+        row[f"{label}_latency_us"] = histogram.percentile(fraction) / 1000.0
+    row["max_latency_us"] = histogram.maximum / 1000.0
+    if chaos:
+        # Chaos columns only appear on a chaos run, so fault-free runs stay
+        # bit-identical to their goldens.
+        row["fault_shed"] = account.fault_shed
+        row["replayed"] = account.replayed
+        row["recovery_time_ns"] = account.recovery_time_ns
+    return row
+
 
 class SloMonitor:
     """Collects per-tenant latency/queue/goodput statistics for one run."""
@@ -225,61 +295,9 @@ class SloMonitor:
 
     def tenant_rows(self, elapsed_ns: float,
                     extra: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
-        """One report row per tenant plus an ``__all__`` aggregate row.
-
-        ``elapsed_ns`` is the measured window (goodput denominator);
-        ``extra`` columns (policy, rate, ...) are prepended to every row.
-        Rows are emitted in tenant-name order so reports are deterministic
-        regardless of completion interleaving.
-        """
-        if elapsed_ns <= 0:
-            raise ValueError(f"elapsed_ns must be positive, got {elapsed_ns}")
-        rows: List[Dict[str, Any]] = []
-        totals = TenantAccount(name="__all__")
-        all_latencies: List[float] = []
-        for name in sorted(self.accounts):
-            account = self.accounts[name]
-            histogram = self.latency_histogram(name)
-            all_latencies.extend(histogram.samples)
-            totals.submitted += account.submitted
-            totals.completed += account.completed
-            totals.shed += account.shed
-            totals.slo_violations += account.slo_violations
-            totals.good += account.good
-            totals.service_ns_total += account.service_ns_total
-            totals.queue_wait_ns_total += account.queue_wait_ns_total
-            totals.fault_shed += account.fault_shed
-            totals.replayed += account.replayed
-            totals.recovery_time_ns += account.recovery_time_ns
-            rows.append(self._row(account, histogram.samples, elapsed_ns, extra))
-        rows.append(self._row(totals, all_latencies, elapsed_ns, extra))
-        return rows
-
-    def _row(self, account: TenantAccount, samples: List[float],
-             elapsed_ns: float, extra: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        histogram = Histogram(account.name, samples=list(samples))
-        row: Dict[str, Any] = dict(extra or {})
-        completed = account.completed
-        row.update({
-            "tenant": account.name,
-            "submitted": account.submitted,
-            "completed": completed,
-            "shed": account.shed,
-            "slo_violations": account.slo_violations,
-            "slo_ns": account.slo_ns,
-            "goodput_krps": account.good / elapsed_ns * 1e6,
-            "throughput_krps": completed / elapsed_ns * 1e6,
-            "mean_latency_us": histogram.mean / 1000.0,
-            "mean_queue_wait_us": (
-                account.queue_wait_ns_total / completed / 1000.0 if completed else 0.0),
-        })
-        for label, fraction in REPORT_PERCENTILES:
-            row[f"{label}_latency_us"] = histogram.percentile(fraction) / 1000.0
-        row["max_latency_us"] = histogram.maximum / 1000.0
-        if self.faults > 0:
-            # Chaos columns only appear once a fault was actually injected,
-            # so fault-free runs stay bit-identical to their goldens.
-            row["fault_shed"] = account.fault_shed
-            row["replayed"] = account.replayed
-            row["recovery_time_ns"] = account.recovery_time_ns
-        return row
+        """This run's :func:`tenant_rows`; the chaos columns appear once a
+        fault actually fired."""
+        samples = {name: self.latency_histogram(name).samples
+                   for name in sorted(self.accounts)}
+        return tenant_rows(self.accounts, samples, elapsed_ns, extra,
+                           chaos=self.faults > 0)

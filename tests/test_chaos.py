@@ -31,6 +31,7 @@ from repro.chaos import (
     FaultSpec,
 )
 from repro.fleet import NodeSpec, TenantShare
+from repro.fleet.autoscaler import AutoscalerConfig
 from repro.fleet.experiments import FLEET_TENANTS
 from repro.fleet.router import HashPlacement
 from repro.noc import NocRouteError
@@ -308,6 +309,25 @@ def test_node_kill_without_recovery_keeps_shedding():
     # Recovery strictly beats the ablation on post-kill goodput.
     assert (sum(recovered.chaos["epoch_goodput"][2:])
             > sum(ablated.chaos["epoch_goodput"][2:]))
+
+
+@pytest.mark.parametrize("control", ("omniscient", "alerts"))
+def test_dead_last_node_lets_the_autoscaler_grow_then_fails_over(control):
+    """A sole node that dies with no spare stays (the last-node rule), but
+    the failover step must not claim the boundary: the autoscaler grows the
+    cluster, and a later boundary fails the dead node over to the new one.
+    Both detectors take the same step."""
+    schedule = pinned_fault("fabric", at_epoch=0, at_node=0, scope="node")
+    outcome = run_chaos_fleet(
+        ChaosConfig(schedule), nodes=3, spares=0, epochs=4, rate_krps=300.0,
+        autoscaler=AutoscalerConfig(enabled=True, min_nodes=1, max_nodes=3),
+        chaos_control=control,
+        telemetry_window_us=100.0 if control == "alerts" else None)
+    row = aggregate_row(outcome.rows)
+    assert_conservation(row)
+    assert row["nodes_max"] >= 2
+    assert outcome.chaos["dead_nodes"] == [0]
+    assert all(outcome.chaos["epoch_goodput"][1:])
 
 
 def test_chaos_fleet_serial_matches_process_executor():

@@ -225,9 +225,13 @@ def test_default_suite_is_well_formed():
 def test_cli_perf_writes_report_and_gates(tmp_path, monkeypatch, capsys):
     from repro.api import cli
     from repro import perf
+    from repro.perf import harness
 
     # Substitute a fast suite so the CLI path stays quick under test.
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
+    # Each CLI run calibrates afresh; a host that changes speed between the
+    # two runs could offset the halved rate below and silence the gate.
+    monkeypatch.setattr(harness, "machine_calibration", lambda: 25e6)
     out = tmp_path / "BENCH_kernel.json"
     assert cli.main(["perf", "--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
