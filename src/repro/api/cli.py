@@ -219,7 +219,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_alerts(args: argparse.Namespace) -> int:
     # Lazy import, same rationale as cmd_perf: `repro list` stays light.
-    from repro.obs.alerting import DEFAULT_SEED, alerts_report
+    from repro.obs.experiments import DEFAULT_SEED, alerts_report
 
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     report = alerts_report(fault=args.fault, control=args.control,

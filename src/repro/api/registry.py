@@ -552,13 +552,11 @@ register_experiment(ExperimentSpec(
 ))
 
 # --------------------------------------------------------------------------- #
-# Alerting experiment (cells live in repro.obs.alerting, same import rule)
+# Alerting experiment (cells live in repro.obs.experiments too)
 # --------------------------------------------------------------------------- #
-from repro.obs import alerting as obs_alerting  # noqa: E402
-
 register_experiment(ExperimentSpec(
     name="alerting",
-    cell=obs_alerting.alerting_cell,
+    cell=obs_experiments.alerting_cell,
     title="Alerting — Detection Quality vs Ground-Truth Fault Schedules",
     description="Chaos fleet runs observed only through windowed telemetry: "
                 "fault family (none/kill/seu/link) x control mode "
@@ -566,12 +564,12 @@ register_experiment(ExperimentSpec(
                 "log against the injected FaultSchedule for recall, "
                 "precision, false-alarm rate and detection latency "
                 "(see docs/alerting.md).",
-    grid={"fault": obs_alerting.FAULT_MODES,
+    grid={"fault": obs_experiments.FAULT_MODES,
           "control": ("omniscient", "alerts")},
     fixed={"fault_rate": 2.0, "nodes": 3, "spares": 1, "epochs": 5,
            "epoch_us": 600.0, "rate_krps": 300.0,
-           "window_us": obs_alerting.ALERT_WINDOW_US,
-           "node_executor": "serial", "seed": obs_alerting.DEFAULT_SEED},
-    summarize=obs_alerting.alerting_summary,
+           "window_us": obs_experiments.ALERT_WINDOW_US,
+           "node_executor": "serial", "seed": obs_experiments.DEFAULT_SEED},
+    summarize=obs_experiments.alerting_summary,
     tags=("obs", "alerts", "chaos", "fleet", "sweep"),
 ))

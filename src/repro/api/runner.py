@@ -13,9 +13,11 @@ The :class:`Runner` turns an :class:`~repro.api.spec.ExperimentSpec` into a
   ``run()``); call :meth:`Runner.close` — or use the runner as a context
   manager — to tear the workers down;
 * passing ``cache_dir`` enables on-disk JSON caching keyed by
-  (experiment name, cell parameters): a cell whose exact parameters were
-  measured before is served from ``<cache_dir>/<experiment>/<sha256[:16]>.json``
-  without re-simulation.
+  (experiment name, cell parameters, :func:`source_fingerprint`): a cell
+  whose exact parameters were measured before by the same ``repro``
+  sources is served from ``<cache_dir>/<experiment>/<sha256[:16]>.json``
+  without re-simulation.  Any edit to the package's sources changes the
+  fingerprint, so a stale entry can never be served after a model change.
 
 Cache layout::
 
@@ -28,19 +30,18 @@ Cache layout::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.registry import get_experiment
 from repro.api.results import ResultSet, Row, RunStats
 from repro.api.spec import ExperimentSpec, Rows
-
-#: Bump when row schemas change incompatibly; invalidates every cache entry.
-CACHE_SCHEMA_VERSION = 1
 
 EXECUTORS = ("serial", "process")
 
@@ -57,9 +58,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+@functools.lru_cache(maxsize=None)
+def source_fingerprint() -> str:
+    """SHA-256 over every ``.py`` source of the ``repro`` package (relative
+    path and bytes, in sorted path order); computed once per process."""
+    root = Path(__file__).resolve().parent.parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 def _cell_key(experiment: str, params: Mapping[str, Any]) -> str:
     payload = json.dumps(
-        {"experiment": experiment, "schema": CACHE_SCHEMA_VERSION,
+        {"experiment": experiment, "sources": source_fingerprint(),
          "params": dict(params)},
         sort_keys=True, default=str,
     )

@@ -36,7 +36,6 @@ from repro.chaos import ChaosConfig
 from repro.fleet.autoscaler import Autoscaler, AutoscalerConfig
 from repro.fleet.node import NodeSpec, TenantShare, simulate_node
 from repro.fleet.router import Router, make_placement
-from repro.obs.metrics import MetricsSnapshot
 from repro.serve.slo import TenantAccount, tenant_rows
 from repro.serve.traffic import TenantSpec
 
@@ -159,9 +158,6 @@ class FleetOutcome:
     #: Chaos control-plane summary (``None`` on a chaos-free run):
     #: promotions, dead node ids, and per-epoch cluster goodput.
     chaos: Optional[Dict[str, Any]] = None
-    #: Per-node :class:`~repro.obs.metrics.MetricsSnapshot`\\ s folded in
-    #: sorted ``(epoch, node_id)`` order — bit-identical serial vs process.
-    metrics: Optional[MetricsSnapshot] = None
     #: Merged :class:`~repro.obs.monitor.TelemetryStream` (``None`` unless
     #: the fleet ran with ``telemetry_window_us`` set).
     telemetry: Optional[Any] = None
@@ -386,11 +382,6 @@ def run_fleet(
             row["dead_nodes"] = len(dead_nodes)
     for row in rows:
         row["elapsed_us"] = elapsed_ns / 1000.0
-    snapshots = [MetricsSnapshot.from_dict(report["metrics"])
-                 for report in sorted(reports,
-                                      key=lambda r: (r["epoch"], r["node_id"]))
-                 if report.get("metrics") is not None]
-    metrics = MetricsSnapshot.merged(snapshots) if snapshots else None
     telemetry = None
     alerts = None
     if engine is not None:
@@ -401,10 +392,10 @@ def run_fleet(
             for report in reports if report.get("telemetry"))
         alerts = engine.events
         if tracer is not None:
-            engine.export(tracer)
+            engine.export(tracer, pid="fleet.ctrl")
     return FleetOutcome(rows=rows, reports=reports, router=router,
                         autoscaler=autoscaler, elapsed_ns=elapsed_ns,
-                        chaos=chaos_summary, metrics=metrics,
+                        chaos=chaos_summary,
                         telemetry=telemetry, alerts=alerts)
 
 

@@ -260,22 +260,6 @@ def simulate_node(
 
     totals = scheduler.fabric_totals()
     busy_ns = (totals["service_us_total"] + totals["reconfig_us_total"]) * 1000.0
-    # Unified metrics (repro.obs): the node's registries — scheduler fault
-    # counters + SLO StatSet — as one snapshot, shipped in dict form (the
-    # report is plain JSON data by contract).  Gauges carry the steering
-    # signals so a fleet-level snapshot merge can reason about peaks
-    # without re-reading every report.
-    scheduler.metrics.gauge("queue_depth_mean").set(
-        monitor.queue_depth.time_weighted_mean())
-    scheduler.metrics.gauge("busy_fraction").set(
-        busy_ns / (node.fabrics * elapsed_ns) if elapsed_ns else 0.0)
-    if queue_capacity is not None:
-        # Admission-queue free-slot low-water mark.  A *min*-merge gauge:
-        # the fleet-wide value is the worst node's headroom, which a
-        # max merge would silently report as the best node's.
-        peak_depth = max(monitor.queue_depth.values, default=0.0)
-        scheduler.metrics.gauge("free_capacity", mode="min").set(
-            queue_capacity - peak_depth)
     energy_pj = sum(model.last_window_pj or 0.0 for model in deployment.energy)
     breakdown: Dict[str, float] = {}
     for model in deployment.energy:
@@ -304,7 +288,6 @@ def simulate_node(
         "service_us_total": totals["service_us_total"],
         "migrations": migrations,
         "migration_stall_ns": stall_ns_total,
-        "metrics": deployment.metrics().as_dict(),
         "energy_pj": energy_pj,
         "energy_breakdown": breakdown,
         # -- chaos (empty/zeroed unless this epoch engaged faults) -------- #

@@ -1,4 +1,4 @@
-"""Observability: request-lifecycle tracing, unified metrics, decomposition.
+"""Observability: request-lifecycle tracing, telemetry, alerts, decomposition.
 
 The cross-cutting layer the serving stack reports through:
 
@@ -6,25 +6,20 @@ The cross-cutting layer the serving stack reports through:
   recording spans/instants on the integer-ps sim timeline, exportable as
   deterministic Chrome trace-event JSON (Perfetto-loadable), written on
   the serve path by the :class:`ServeTrace` observer;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, counters/gauges/
-  histograms over :mod:`repro.sim.stats` with a picklable
-  :class:`MetricsSnapshot` that merges deterministically across the
-  fleet process pool;
 * :mod:`repro.obs.decompose` — per-request stage attribution
   (queue/program/retune/service/blackout) and the empirical-CDF helper
   behind ``ResultSet.cdf``;
 * :mod:`repro.obs.monitor` — streaming telemetry: tumbling/sliding
   window reads (goodput, shed rate, p99-over-window, queue slope)
-  emitted as a picklable :class:`TelemetryStream` that merges across the
-  fleet pool like :class:`MetricsSnapshot`;
+  emitted as a picklable :class:`TelemetryStream` that merges
+  deterministically across the fleet process pool;
 * :mod:`repro.obs.alerts` — declarative :class:`AlertRule`\\ s
   (threshold / multi-window SLO burn-rate / EWMA z-score) evaluated
   on-stream by an :class:`AlertEngine` with a typed alert log, trace
   export and ground-truth scoring (:func:`score_alerts`);
-* :mod:`repro.obs.experiments` — the ``latency_decomposition`` cell and
-  the ``python -m repro trace`` drivers;
-* :mod:`repro.obs.alerting` — the ``alerting`` detection-quality
-  experiment and the ``python -m repro alerts`` driver.
+* :mod:`repro.obs.experiments` — the ``latency_decomposition`` and
+  ``alerting`` (detection-quality) cells and the ``python -m repro
+  trace`` / ``alerts`` drivers.
 
 :class:`TelemetryMonitor` and :class:`ServeTrace` observe the serve path's
 one request-lifecycle funnel (``FabricScheduler.observe``); attached or
@@ -37,8 +32,6 @@ from repro.obs.alerts import (AUTOSCALER_RULES, DEFAULT_RULES, AlertEngine,
                               AlertEvent, AlertRule, score_alerts)
 from repro.obs.decompose import (ALL_TENANTS, STAGES, cdf_points,
                                  decompose_rows, request_stages)
-from repro.obs.metrics import (GAUGE_MERGE_MODES, CounterGroup, Gauge,
-                               MetricsRegistry, MetricsSnapshot)
 from repro.obs.monitor import TelemetryMonitor, TelemetryStream
 from repro.obs.trace import Instant, ServeTrace, Span, Tracer
 
@@ -46,16 +39,11 @@ __all__ = [
     "ALL_TENANTS",
     "AUTOSCALER_RULES",
     "DEFAULT_RULES",
-    "GAUGE_MERGE_MODES",
     "STAGES",
     "AlertEngine",
     "AlertEvent",
     "AlertRule",
-    "CounterGroup",
-    "Gauge",
     "Instant",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "ServeTrace",
     "Span",
     "TelemetryMonitor",

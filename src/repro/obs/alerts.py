@@ -279,13 +279,14 @@ class AlertEngine:
     # ------------------------------------------------------------------ #
     # Export
     # ------------------------------------------------------------------ #
-    def export(self, tracer) -> None:
+    def export(self, tracer, pid: Optional[Any] = None) -> None:
         """Mirror the alert log into a tracer as Perfetto-visible
-        instants on an ``alerts`` track."""
+        instants on an ``alerts`` track of ``pid`` (the tracer's default
+        pid when ``None``)."""
         for seq, event in enumerate(self.events):
             tracer.instant(
                 f"{event.rule}:{event.event}", "alerts", event.t_ps,
-                cat="alert",
+                cat="alert", pid=pid,
                 args={"node": event.node_id, "severity": event.severity,
                       "family": event.family, "value": event.value,
                       "seq": seq})

@@ -1,4 +1,4 @@
-"""The ``latency_decomposition`` experiment and the ``trace`` CLI drivers.
+"""The observability experiments and their CLI drivers.
 
 ``latency_decomposition`` answers the question the aggregate serve rows
 cannot: *where does a request's latency actually go?*  Each cell runs one
@@ -17,6 +17,36 @@ re-runs a named experiment's canonical point with a
 :meth:`~repro.obs.trace.Tracer.to_json` bytes are deterministic for a
 given seed.
 
+``alerting`` measures detection quality, scored against ground truth.
+One cell = one chaos fleet run observed *only* through its telemetry
+stream.  The sweep crosses fault family x control mode (x background rate
+for the rate-scaled families):
+
+* ``fault``: ``none`` (no chaos — the false-alarm floor), ``kill`` (the
+  pinned whole-node fabric kill from :mod:`repro.chaos.experiments`),
+  ``seu`` / ``link`` (rate-scaled background noise only);
+* ``control``: the detector of the one epoch-boundary failover step
+  (:func:`repro.fleet.cluster._chaos_control`) — ``omniscient`` reads the
+  simulator's damage reports directly, ``alerts`` suspects a node only
+  when a critical alert fires for it; failover, spare promotion and
+  replay then run the same way for both.
+
+Because the experiment holds the injected :class:`~repro.chaos.schedule.\
+FaultSchedule`, it can score the alert log exactly
+(:func:`repro.obs.alerts.score_alerts`): per-cell recall, precision,
+false-alarm rate and detection latency, overall and per rule family.  The
+acceptance pins (``tests/test_alerts.py``) are:
+
+* fabric-kill detection recall 1.0 with detection latency <= 1 epoch at
+  the default burn-rate rule,
+* false-alarm rate 0.0 on the fault-free cell,
+* alert-driven recovery goodput >= 0.9x the omniscient baseline within
+  :data:`ALERT_RECOVERY_EPOCHS` epochs of the kill.
+
+SEU/link recall is reported, not pinned: a scrubbed SEU or a transient
+link detour that never dents the SLO is *invisible in telemetry by
+design* — the experiment quantifies that blind spot instead of hiding it.
+
 Cells are module-level and seed-deterministic (picklable for the
 process-pool executor).  This module must not import :mod:`repro.api` —
 the registry imports *us*.
@@ -26,8 +56,13 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.chaos.experiments import KILL_EPOCH, build_schedule
 from repro.chaos.inject import ChaosConfig
 from repro.chaos.schedule import FaultSchedule, FaultSpec
+from repro.fleet.autoscaler import AutoscalerConfig
+from repro.fleet.cluster import FleetConfig, epoch_goodput, run_fleet
+from repro.fleet.experiments import FLEET_TENANTS
+from repro.obs.alerts import score_alerts
 from repro.obs.decompose import ALL_TENANTS, STAGES, decompose_rows
 from repro.obs.trace import Tracer
 from repro.serve.experiments import DEFAULT_SEED, run_serve
@@ -141,9 +176,6 @@ def _trace_chaos(seed: int, tracer: Tracer, **overrides: Any) -> None:
 
 
 def _trace_fleet(seed: int, tracer: Tracer, **overrides: Any) -> None:
-    from repro.fleet.cluster import FleetConfig, run_fleet
-    from repro.fleet.experiments import FLEET_TENANTS
-
     rate_krps = float(overrides.pop("rate_krps", 300.0))
     config = FleetConfig(
         nodes=int(overrides.pop("nodes", 3)),
@@ -187,3 +219,196 @@ def trace_experiment(name: str, seed: int = DEFAULT_SEED,
     tracer = Tracer()
     driver(seed, tracer, **(overrides or {}))
     return tracer
+
+
+# --------------------------------------------------------------------------- #
+# The ``alerting`` experiment
+# --------------------------------------------------------------------------- #
+#: The fault families the sweep injects (one per cell).
+FAULT_MODES: Tuple[str, ...] = ("none", "kill", "seu", "link")
+
+#: Telemetry window of every alerting run (us of sim time).
+ALERT_WINDOW_US = 100.0
+
+#: Detection horizon: an alert counts for a fault only within this many
+#: epochs of its injection instant.
+DETECT_HORIZON_EPOCHS = 1.0
+
+#: The alert-driven recovery pin: goodput back within this many epochs of
+#: the kill...
+ALERT_RECOVERY_EPOCHS = 3
+#: ...to at least this fraction of what omniscient recovery achieves.
+ALERT_RECOVERY_FLOOR = 0.9
+
+
+def alerting_schedule(fault: str, fault_rate: float,
+                      seed: int = DEFAULT_SEED) -> Optional[FaultSchedule]:
+    """The injected schedule for one fault family (``None`` = no chaos)."""
+    if fault == "none":
+        return None
+    if fault == "kill":
+        return build_schedule(0.0, seed)
+    if fault == "seu":
+        return FaultSchedule(seed=seed, specs=(
+            FaultSpec(kind="seu", rate_per_epoch=fault_rate,
+                      detect_ns=2_000.0),))
+    if fault == "link":
+        return FaultSchedule(seed=seed, specs=(
+            FaultSpec(kind="link", rate_per_epoch=fault_rate * 0.5,
+                      repair_ns=60_000.0),))
+    known = ", ".join(FAULT_MODES)
+    raise ValueError(f"unknown fault mode {fault!r}; known: {known}")
+
+
+def alerting_cell(
+    fault: str,
+    control: str,
+    fault_rate: float = 2.0,
+    nodes: int = 3,
+    spares: int = 1,
+    epochs: int = 5,
+    epoch_us: float = 600.0,
+    rate_krps: float = 300.0,
+    window_us: float = ALERT_WINDOW_US,
+    node_executor: str = "serial",
+    seed: int = DEFAULT_SEED,
+) -> List[Dict[str, Any]]:
+    """One telemetry-observed chaos run; returns a single scored row."""
+    schedule = alerting_schedule(fault, fault_rate, seed)
+    config = FleetConfig(
+        nodes=nodes,
+        placement="affinity",
+        policy="affinity",
+        epochs=epochs,
+        epoch_us=epoch_us,
+        autoscaler=AutoscalerConfig(enabled=False),
+        node_executor=node_executor,
+        power=True,
+        chaos=ChaosConfig(schedule, recovery=True) if schedule else None,
+        spares=spares,
+        telemetry_window_us=window_us,
+        chaos_control=control,
+    )
+    outcome = run_fleet(config, FLEET_TENANTS,
+                        total_rate_rps=rate_krps * 1000.0, seed=seed)
+
+    epoch_ns = epoch_us * 1000.0
+    epoch_ps = int(round(epoch_ns * 1000.0))
+    # The oracle covers the initially-active nodes: spares carry no
+    # injections while parked, and none of the sweep's schedules draw
+    # rated faults dense enough to fail over a healthy node onto one.
+    truth = (schedule.ground_truth(epochs, range(nodes),
+                                   config.fabrics_per_node, epoch_ns)
+             if schedule is not None else [])
+    alerts = outcome.alerts or []
+    horizon_ps = int(round(DETECT_HORIZON_EPOCHS * epoch_ps))
+    score = score_alerts(alerts, truth, horizon_ps)
+
+    goodput = epoch_goodput(outcome.reports)
+    pre = goodput[KILL_EPOCH - 1] if KILL_EPOCH >= 1 else goodput[0]
+    post_epoch = min(KILL_EPOCH + ALERT_RECOVERY_EPOCHS, len(goodput) - 1)
+    row: Dict[str, Any] = {
+        "fault": fault,
+        "control": control,
+        "fault_rate": fault_rate if fault in ("seu", "link") else 0.0,
+        "nodes": nodes,
+        "epochs": epochs,
+        "windows": len(outcome.telemetry.samples) if outcome.telemetry else 0,
+        "alerts_fired": sum(1 for a in alerts if a.event == "fired"),
+        "alerts_resolved": sum(1 for a in alerts if a.event == "resolved"),
+        "faults": score["faults"],
+        "detected": score["detected"],
+        "recall": score["recall"],
+        "precision": score["precision"],
+        "false_alarms": score["false_alarms"],
+        "false_alarm_rate": score["false_alarm_rate"],
+        "detection_latency_epochs": (
+            score["max_detection_latency_ps"] / epoch_ps),
+        "pre_fault_goodput": pre,
+        "post_recovery_goodput": goodput[post_epoch],
+        "good_total": sum(goodput),
+    }
+    for family, fam in sorted(score["by_family"].items()):
+        row[f"fired_{family}"] = fam["fired"]
+        row[f"recall_{family}"] = fam["recall"]
+        row[f"false_alarm_rate_{family}"] = fam["false_alarm_rate"]
+    return [row]
+
+
+def alerting_summary(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The acceptance view: the pinned detection/recovery aggregates."""
+    def pick(fault: str, control: str) -> Optional[Dict[str, Any]]:
+        for row in rows:
+            if row["fault"] == fault and row["control"] == control:
+                return row
+        return None
+
+    summary: Dict[str, Any] = {
+        "detect_horizon_epochs": DETECT_HORIZON_EPOCHS,
+        "alert_recovery_epochs": ALERT_RECOVERY_EPOCHS,
+        "alert_recovery_floor": ALERT_RECOVERY_FLOOR,
+    }
+    kill_alerts = pick("kill", "alerts")
+    if kill_alerts is not None:
+        summary["kill_recall"] = kill_alerts["recall"]
+        summary["kill_detection_latency_epochs"] = (
+            kill_alerts["detection_latency_epochs"])
+        summary["kill_detected_within_horizon"] = (
+            kill_alerts["recall"] >= 1.0
+            and kill_alerts["detection_latency_epochs"]
+            <= DETECT_HORIZON_EPOCHS)
+    fault_free = pick("none", "alerts")
+    if fault_free is not None:
+        summary["fault_free_alerts_fired"] = fault_free["alerts_fired"]
+        summary["fault_free_false_alarm_rate"] = (
+            fault_free["false_alarm_rate"])
+    kill_omniscient = pick("kill", "omniscient")
+    if kill_alerts is not None and kill_omniscient is not None:
+        baseline = kill_omniscient["post_recovery_goodput"]
+        summary["alert_recovery_ratio"] = (
+            kill_alerts["post_recovery_goodput"] / baseline if baseline
+            else 0.0)
+        summary["alert_recovery_ok"] = (
+            summary["alert_recovery_ratio"] >= ALERT_RECOVERY_FLOOR)
+    for fault in ("seu", "link"):
+        row = pick(fault, "alerts")
+        if row is not None:
+            summary[f"{fault}_recall"] = row["recall"]
+            summary[f"{fault}_false_alarms"] = row["false_alarms"]
+    return summary
+
+
+# --------------------------------------------------------------------------- #
+# ``python -m repro alerts`` driver
+# --------------------------------------------------------------------------- #
+def alerts_report(fault: str = "kill", control: str = "alerts",
+                  fault_rate: float = 2.0,
+                  seed: int = DEFAULT_SEED) -> Dict[str, Any]:
+    """One canonical alerting run, packaged for the CLI: the typed alert
+    log, the detection scores and the ground truth it was scored against."""
+    schedule = alerting_schedule(fault, fault_rate, seed)
+    config = FleetConfig(
+        nodes=3, placement="affinity", policy="affinity", epochs=5,
+        epoch_us=600.0, autoscaler=AutoscalerConfig(enabled=False),
+        node_executor="serial", power=True,
+        chaos=ChaosConfig(schedule, recovery=True) if schedule else None,
+        spares=1, telemetry_window_us=ALERT_WINDOW_US,
+        chaos_control=control)
+    outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=300_000.0,
+                        seed=seed)
+    epoch_ns = 600.0 * 1000.0
+    truth = (schedule.ground_truth(5, range(3), config.fabrics_per_node,
+                                   epoch_ns)
+             if schedule is not None else [])
+    alerts = outcome.alerts or []
+    score = score_alerts(alerts, truth,
+                         int(round(epoch_ns * 1000.0
+                                   * DETECT_HORIZON_EPOCHS)))
+    return {
+        "fault": fault,
+        "control": control,
+        "windows": len(outcome.telemetry.samples) if outcome.telemetry else 0,
+        "alerts": [a.as_dict() for a in alerts],
+        "truth": truth,
+        "score": score,
+    }

@@ -1,4 +1,4 @@
-"""Streaming telemetry: windowed reads over the unified metrics layer.
+"""Streaming telemetry: windowed reads over the SLO monitor's statistics.
 
 End-of-run aggregates (``SloMonitor.tenant_rows``) answer *what happened*;
 operations needs *what is happening* — windowed metric streams are what a
@@ -17,9 +17,8 @@ touching the simulation schedule:
   monitor-off runs, not just "close" (pinned in ``tests/test_alerts.py``).
 * :class:`TelemetryStream` — the picklable result: a flat list of plain
   window-sample dicts with integer-ps timestamps that merges across the
-  fleet process pool exactly like
-  :class:`~repro.obs.metrics.MetricsSnapshot` (deterministic
-  ``(epoch, t_ps, node_id)`` order, serial ≡ process bit-identical), plus
+  fleet process pool in deterministic ``(epoch, t_ps, node_id)`` order
+  (serial ≡ process bit-identical), plus
   tumbling (:meth:`TelemetryStream.series`) and sliding
   (:meth:`TelemetryStream.sliding`) reads for consumers.
 

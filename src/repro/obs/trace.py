@@ -33,7 +33,9 @@ number breaking sort ties, track ids assigned by sorted label (never
 the same seed produce byte-identical files.
 
 Track convention (see ``docs/observability.md``): ``pid`` is the fleet
-node (0 for single-node serve runs), ``tid`` is the fabric
+node (0 for single-node serve runs, exported as ``node0``; a fleet trace
+uses string pids such as ``"node1"`` and ``"fleet.ctrl"`` throughout,
+exported under their own names), ``tid`` is the fabric
 (``fabric0``), the design track in region mode (``fabric0/<design>``),
 the control hub (``fabric0.ctrl``), the admission queue (``queue``) or
 the chaos injector (``chaos``).
@@ -177,7 +179,8 @@ class Tracer:
         events: List[Dict[str, Any]] = []
         for pid in sorted({pid for pid, _ in ids}):
             events.append({"ph": "M", "name": "process_name", "pid": pid,
-                           "tid": 0, "args": {"name": f"node{pid}"}})
+                           "tid": 0, "args": {"name": (
+                               f"node{pid}" if isinstance(pid, int) else pid)}})
         for (pid, tid), tid_id in sorted(ids.items()):
             events.append({"ph": "M", "name": "thread_name", "pid": pid,
                            "tid": tid_id, "args": {"name": tid}})

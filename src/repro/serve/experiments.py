@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import MetricsSnapshot
 from repro.serve.scheduler import SERVE_MAX_EVENTS, FabricScheduler, ServeConfig
 from repro.serve.slo import SloMonitor
 from repro.serve.traffic import TenantSpec, build_sources
@@ -152,11 +151,6 @@ class Deployment:
         if self.telemetry is not None:
             self.telemetry.finalize(elapsed_ns)
         return elapsed_ns
-
-    def metrics(self) -> MetricsSnapshot:
-        """The scheduler and SLO registries as one snapshot."""
-        return MetricsSnapshot.merged((self.scheduler.metrics.snapshot(),
-                                       self.monitor.metrics.snapshot()))
 
 
 def _attach_energy(sim: Simulator, scheduler: FabricScheduler) -> List[Any]:
@@ -296,7 +290,7 @@ def run_serve(
             row.update(chaos_totals)
     telemetry = deployment.telemetry
     return {"rows": rows, "scheduler": scheduler, "monitor": monitor,
-            "elapsed_ns": elapsed_ns, "metrics": deployment.metrics(),
+            "elapsed_ns": elapsed_ns,
             "telemetry": telemetry.stream if telemetry else None,
             "chaos": scheduler.chaos_totals() if chaos is not None else None}
 

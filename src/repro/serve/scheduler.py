@@ -51,7 +51,6 @@ from repro.cpu.mmio import MmioMap
 from repro.fpga.bitstream import Bitstream
 from repro.fpga.clocking import ProgrammableClockGenerator
 from repro.noc import NocNetwork, TileRouter, make_topology
-from repro.obs.metrics import MetricsRegistry
 from repro.reconfig.placement import RegionAllocator
 from repro.reconfig.plan import RegionPlan
 from repro.serve.catalog import ServedAccelerator, materialize
@@ -538,17 +537,12 @@ class FabricScheduler:
         self.recovery = True
         #: Detection/scrub latency paid before an SEU retry (ns).
         self.fault_detect_ns = 2_000.0
-        #: Unified metrics (:mod:`repro.obs.metrics`): the scheduler's own
-        #: counters plus the SLO monitor's StatSet behind one registry whose
-        #: snapshot is picklable and merges deterministically in the fleet.
-        self.metrics = MetricsRegistry("serve.metrics")
-        #: Fault/recovery counters — a dict-shaped view over registry
-        #: counters, so ``fault_stats["replayed"] += 1`` call sites (and
-        #: the chaos injector) keep working while the storage is unified.
-        self.fault_stats = self.metrics.counter_group((
+        #: Fault/recovery counters over a fixed key set (the chaos injector
+        #: bumps ``faults_injected``); an unknown key raises ``KeyError``.
+        self.fault_stats: Dict[str, int] = dict.fromkeys((
             "faults_injected", "fabric_faults", "requests_lost",
             "replayed", "fault_shed", "seu_scrubs", "link_faults",
-        ))
+        ), 0)
         #: Accelerators whose image is corrupt with recovery disabled.
         self.poisoned: Set[str] = set()
         #: ``slots`` workers per fabric: on a region grid, different

@@ -3,9 +3,9 @@
 The monitor is pure observation: the scheduler reports admissions,
 sheddings and completions, and everything lands in the standard
 :mod:`repro.sim.stats` primitives — per-tenant latency
-:class:`~repro.sim.stats.Histogram`\\ s (p50/p95/p99 via nearest-rank),
-a queue-depth :class:`~repro.sim.stats.TimeSeries`, and plain counters
-for completions, SLO violations and shed requests.  Goodput is defined the
+:class:`~repro.sim.stats.Histogram`\\ s (p50/p95/p99 via nearest-rank)
+and a queue-depth :class:`~repro.sim.stats.TimeSeries`, next to one
+:class:`TenantAccount` of plain counts per tenant.  Goodput is defined the
 strict way: only requests that *completed within their tenant's SLO* count,
 so an overloaded policy cannot buy throughput by blowing the tail.
 
@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry
 from repro.serve.traffic import Request
-from repro.sim import Histogram, TimeSeries
+from repro.sim import Histogram, StatSet, TimeSeries
 
 #: The latency percentiles every tenant row reports, as (label, fraction).
 #: ``p999`` (and the ``max_latency_us`` column next to the loop over this
@@ -132,11 +131,8 @@ class SloMonitor:
     def __init__(self, sim, name: str = "serve") -> None:
         self.sim = sim
         self.name = name
-        #: Unified registry (:mod:`repro.obs.metrics`); ``self.stats`` is
-        #: its backing StatSet, so every existing hook below is unchanged
-        #: while the monitor gains a picklable, mergeable snapshot.
-        self.metrics = MetricsRegistry(f"{name}.slo")
-        self.stats = self.metrics.stats
+        #: Per-tenant latency histograms and the queue-depth series.
+        self.stats = StatSet(f"{name}.slo")
         self.accounts: Dict[str, TenantAccount] = {}
         self.queue_depth: TimeSeries = self.stats.series("queue_depth")
         #: Each hook calls the same-named method of every observer, in order,
@@ -180,7 +176,6 @@ class SloMonitor:
         account = self._account(request)
         account.submitted += 1  # shed requests were still offered
         account.shed += 1
-        self.stats.counter("shed_total").increment()
 
     def on_dequeue(self, request: Request, queue_depth: int, fabric) -> None:
         if self.observers:
@@ -198,12 +193,10 @@ class SloMonitor:
         account.service_ns_total += request.finish_ns - request.start_ns
         latency = request.latency_ns
         self.stats.histogram(f"latency_ns.{request.tenant}").record(latency)
-        self.stats.counter("completed_total").increment()
         if request.slo_met:
             account.good += 1
         elif request.slo_ns > 0:
             account.slo_violations += 1
-            self.stats.counter("slo_violations_total").increment()
         fault_at = self._recovery_pending.pop(request.tenant, None)
         if fault_at is not None:
             account.recovery_time_ns += self.sim.now - fault_at
@@ -222,7 +215,6 @@ class SloMonitor:
             for observer in self.observers:
                 observer.on_fault()
         self.faults += 1
-        self.stats.counter("faults_total").increment()
         for name in self.accounts:
             self._recovery_pending.setdefault(name, self.sim.now)
 
@@ -237,7 +229,6 @@ class SloMonitor:
         account = self._account(request)
         account.shed += 1
         account.fault_shed += 1
-        self.stats.counter("fault_shed_total").increment()
 
     def on_replay(self, request: Request, queue_depth: int) -> None:
         """A fault-lost request re-entered the queue for another attempt."""
@@ -245,7 +236,6 @@ class SloMonitor:
             for observer in self.observers:
                 observer.on_replay(request, queue_depth)
         self._account(request).replayed += 1
-        self.stats.counter("replayed_total").increment()
         self.queue_depth.record(self.sim.now, queue_depth)
 
     # ------------------------------------------------------------------ #

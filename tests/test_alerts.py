@@ -1,6 +1,6 @@
 """Tests for the online health-monitoring layer: windowed telemetry
 streams (``repro.obs.monitor``), the declarative alert engine
-(``repro.obs.alerts``), gauge merge modes, alert-driven fleet control, the
+(``repro.obs.alerts``), alert-driven fleet control, the
 ``alerting`` experiment's acceptance pins, and the perf/CLI wiring
 (monitor-on fleet bench, ``repro alerts``, ``repro trend``)."""
 
@@ -22,8 +22,6 @@ from repro.obs import (
     AlertEngine,
     AlertEvent,
     AlertRule,
-    MetricsRegistry,
-    MetricsSnapshot,
     TelemetryMonitor,
     TelemetryStream,
     score_alerts,
@@ -144,61 +142,6 @@ def test_stream_series_and_sliding_reads():
     assert stream.sliding("goodput_krps", 2) == [(0, 4.0), (1, 2.0), (2, 1.0)]
     with pytest.raises(KeyError, match="unknown telemetry metric"):
         stream.series("nope")
-
-
-# --------------------------------------------------------------------------- #
-# Gauge merge modes (per-gauge max/min/sum/last)
-# --------------------------------------------------------------------------- #
-def test_gauge_merge_modes_min_sum_last_and_default_max():
-    left = MetricsSnapshot(gauges={"peak": 3.0, "floor": 2.0, "total": 1.0,
-                                   "latest": 1.0},
-                           gauge_modes={"floor": "min", "total": "sum",
-                                        "latest": "last"})
-    right = MetricsSnapshot(gauges={"peak": 1.0, "floor": 5.0, "total": 2.0,
-                                    "latest": 9.0},
-                            gauge_modes={"floor": "min", "total": "sum",
-                                         "latest": "last"})
-    merged = MetricsSnapshot.merged((left, right))
-    assert merged.gauges == {"peak": 3.0, "floor": 2.0, "total": 3.0,
-                             "latest": 9.0}
-    # Round trip preserves the modes; the pre-mode dict shape is kept for
-    # snapshots that only use the default.
-    assert MetricsSnapshot.from_dict(merged.as_dict()) == merged
-    assert "gauge_modes" not in MetricsSnapshot(gauges={"g": 1.0}).as_dict()
-
-
-def test_gauge_mode_conflict_refuses_to_merge():
-    left = MetricsSnapshot(gauges={"g": 1.0}, gauge_modes={"g": "min"})
-    right = MetricsSnapshot(gauges={"g": 2.0}, gauge_modes={"g": "sum"})
-    with pytest.raises(ValueError, match="previously merged as"):
-        MetricsSnapshot.merged((left, right))
-
-
-def test_registry_gauge_mode_is_sticky_and_validated():
-    registry = MetricsRegistry("t")
-    gauge = registry.gauge("free", mode="min")
-    gauge.set(4.0)
-    assert registry.gauge("free", mode="min") is gauge
-    with pytest.raises(ValueError, match="mode"):
-        registry.gauge("free", mode="max")
-    with pytest.raises(ValueError, match="mode"):
-        registry.gauge("fresh", mode="median")
-    assert registry.snapshot().gauge_modes == {"free": "min"}
-
-
-def test_fleet_free_capacity_gauge_merges_as_min_across_nodes():
-    """The regression the mode system exists for: cluster headroom is the
-    *minimum* free capacity over nodes — a max-merge would report the
-    least-loaded node and hide exhaustion on the hottest one."""
-    outcome = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0),
-                        FLEET_TENANTS, total_rate_rps=200_000.0)
-    snapshot = outcome.metrics
-    assert snapshot.gauge_modes.get("free_capacity") == "min"
-    per_node = []
-    for report in outcome.reports:
-        node_snapshot = MetricsSnapshot.from_dict(report["metrics"])
-        per_node.append(node_snapshot.gauges["free_capacity"])
-    assert snapshot.gauges["free_capacity"] == min(per_node)
 
 
 # --------------------------------------------------------------------------- #
@@ -332,7 +275,15 @@ def test_attaching_telemetry_never_perturbs_serve_results():
     watched = run_serve("affinity", telemetry_window_us=50.0, **kwargs)
     assert plain["rows"] == watched["rows"]
     assert plain["elapsed_ns"] == watched["elapsed_ns"]
-    assert plain["metrics"].as_dict() == watched["metrics"].as_dict()
+    plain_monitor, watched_monitor = plain["monitor"], watched["monitor"]
+    assert plain_monitor.queue_depth.times == watched_monitor.queue_depth.times
+    assert (plain_monitor.queue_depth.values
+            == watched_monitor.queue_depth.values)
+    for tenant in plain_monitor.accounts:
+        assert (plain_monitor.latency_histogram(tenant).samples
+                == watched_monitor.latency_histogram(tenant).samples)
+    assert (dict(plain["scheduler"].fault_stats)
+            == dict(watched["scheduler"].fault_stats))
     assert plain["telemetry"] is None
     assert len(watched["telemetry"].samples) > 0
 
@@ -344,7 +295,9 @@ def test_attaching_telemetry_never_perturbs_fleet_results():
     watched = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0,
                                     telemetry_window_us=50.0), **kwargs)
     assert plain.rows == watched.rows
-    assert plain.metrics == watched.metrics
+    assert plain.reports == [
+        {key: value for key, value in report.items() if key != "telemetry"}
+        for report in watched.reports]
     assert plain.telemetry is None and plain.alerts is None
     assert watched.alerts == []
     assert watched.telemetry.node_ids() == [0, 1]
@@ -370,7 +323,7 @@ def test_alert_log_is_pythonhashseed_independent():
     randomization emit identical JSON."""
     script = (
         "import json, sys\n"
-        "from repro.obs.alerting import alerts_report\n"
+        "from repro.obs.experiments import alerts_report\n"
         "report = alerts_report(fault='kill', control='alerts')\n"
         "sys.stdout.write(json.dumps(\n"
         "    {'alerts': report['alerts'], 'truth': report['truth'],\n"
@@ -464,7 +417,7 @@ def test_alerts_mode_autoscaler_grows_a_pressured_fleet():
 # --------------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def alerting_rows():
-    from repro.obs.alerting import alerting_cell
+    from repro.obs.experiments import alerting_cell
 
     rows = []
     for fault in ("none", "kill"):
@@ -492,7 +445,7 @@ def test_fault_free_sweep_cell_has_zero_false_alarms(alerting_rows):
 
 
 def test_alert_driven_recovery_matches_omniscient_goodput(alerting_rows):
-    from repro.obs.alerting import ALERT_RECOVERY_FLOOR, alerting_summary
+    from repro.obs.experiments import ALERT_RECOVERY_FLOOR, alerting_summary
 
     summary = alerting_summary(alerting_rows)
     assert summary["kill_detected_within_horizon"]

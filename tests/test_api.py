@@ -159,6 +159,22 @@ def test_cache_key_distinguishes_params(tmp_path):
     assert len(os.listdir(tmp_path / "fig9")) == 2
 
 
+def test_cache_misses_after_the_sources_change(tmp_path, monkeypatch):
+    from repro.api import runner as runner_module
+
+    fingerprint = runner_module.source_fingerprint()
+    assert len(fingerprint) == 64 and fingerprint == runner_module.source_fingerprint()
+    runner = Runner(cache_dir=str(tmp_path))
+    overrides = {"mechanism": "shadow_reg", "fpga_mhz": 100.0}
+    first = runner.run("fig9", **overrides)
+    assert runner.run("fig9", **overrides).stats.cache_hits == 1
+    monkeypatch.setattr(runner_module, "source_fingerprint", lambda: "edited")
+    stale = runner.run("fig9", **overrides)
+    assert stale.stats.cache_hits == 0 and stale.stats.cache_misses == 1
+    assert stale.rows == first.rows
+    assert len(os.listdir(tmp_path / "fig9")) == 2
+
+
 def test_runner_rejects_bad_configuration():
     with pytest.raises(ValueError, match="executor"):
         Runner(executor="threads")

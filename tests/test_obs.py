@@ -1,8 +1,7 @@
 """Tests for ``repro.obs``: tracer nesting/ordering invariants (Hypothesis
 over arbitrary begin/end sequences), the deterministic Chrome-trace export
-and its pinned golden, the hooks-off ≡ hooks-on bit-identity contract, the
-unified metrics registry (serial ≡ process fleet merge), ``ResultSet.cdf``,
-and the ``latency_decomposition`` acceptance pins."""
+and its pinned golden, the hooks-off ≡ hooks-on bit-identity contract,
+``ResultSet.cdf`` and the ``latency_decomposition`` acceptance pins."""
 
 import json
 import os
@@ -20,9 +19,6 @@ from repro.fleet.experiments import FLEET_TENANTS
 from repro.obs import (
     ALL_TENANTS,
     STAGES,
-    CounterGroup,
-    MetricsRegistry,
-    MetricsSnapshot,
     Tracer,
     cdf_points,
 )
@@ -292,65 +288,29 @@ def test_fleet_tracer_records_epochs_without_perturbing_rows():
                        tracer=tracer)
     assert plain.rows == traced.rows
     assert {span.pid for span in tracer.spans} == {"node0", "node1"}
-    assert traced.metrics is not None
 
 
-# --------------------------------------------------------------------------- #
-# Metrics registry
-# --------------------------------------------------------------------------- #
-def test_counter_group_keeps_the_dict_surface():
-    registry = MetricsRegistry("t")
-    group = registry.counter_group(("faults", "replays"))
-    assert isinstance(group, CounterGroup)
-    group["faults"] += 2
-    group["replays"] = 5
-    assert group["faults"] == 2 and len(group) == 2
-    assert "faults" in group and "nope" not in group
-    assert dict(group) == {"faults": 2, "replays": 5}
-    assert registry.counter("faults").value == 2
-    with pytest.raises(KeyError):
-        group["nope"] += 1
+def test_traced_fleet_with_alerts_exports_one_pid_kind():
+    """Alert instants land on the fleet's control-plane pid, so a traced
+    chaos fleet with telemetry and a fired alert exports, and string pids
+    name their own processes."""
+    from repro.chaos.experiments import build_schedule
+    from repro.chaos.inject import ChaosConfig
 
-
-def test_snapshot_merge_semantics_and_round_trip():
-    left = MetricsSnapshot(counters={"a": 1, "b": 2}, gauges={"g": 1.0},
-                           histograms={"h": [1.0]}, series={"s": [(0.0, 1.0)]})
-    right = MetricsSnapshot(counters={"b": 3, "c": 4}, gauges={"g": 0.5,
-                                                              "k": 2.0},
-                            histograms={"h": [2.0], "j": [9.0]},
-                            series={"s": [(1.0, 0.0)]})
-    merged = MetricsSnapshot.merged((left, right))
-    assert merged.counters == {"a": 1, "b": 5, "c": 4}
-    assert merged.gauges == {"g": 1.0, "k": 2.0}  # max, not last-write
-    assert merged.histograms == {"h": [1.0, 2.0], "j": [9.0]}
-    assert merged.series == {"s": [(0.0, 1.0), (1.0, 0.0)]}
-    assert MetricsSnapshot.from_dict(merged.as_dict()) == merged
-    # And the dict form survives an actual JSON round trip (node reports).
-    rehydrated = MetricsSnapshot.from_dict(
-        json.loads(json.dumps(merged.as_dict())))
-    assert rehydrated == merged
-
-
-def test_serve_outcome_carries_a_unified_snapshot():
-    outcome = run_serve("affinity", duration_us=300.0)
-    snapshot = outcome["metrics"]
-    aggregate = next(row for row in outcome["rows"]
-                     if row["tenant"] == "__all__")
-    assert snapshot.counters["completed_total"] == aggregate["completed"]
-    assert snapshot.counters["faults_injected"] == 0
-    assert "queue_depth" in snapshot.series
-
-
-def test_fleet_metrics_merge_is_serial_process_bit_identical():
-    kwargs = dict(tenants=FLEET_TENANTS, total_rate_rps=200_000.0, seed=7)
-    serial = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0,
-                                   node_executor="serial"), **kwargs)
-    pooled = run_fleet(FleetConfig(nodes=2, epochs=2, epoch_us=200.0,
-                                   node_executor="process", workers=2),
-                       **kwargs)
-    assert serial.rows == pooled.rows
-    assert serial.metrics == pooled.metrics
-    assert serial.metrics.counters["completed_total"] > 0
+    tracer = Tracer()
+    config = FleetConfig(nodes=3, spares=1, epochs=4, epoch_us=600.0,
+                         chaos=ChaosConfig(build_schedule(2.0, seed=2023)),
+                         telemetry_window_us=100.0)
+    outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=300_000.0,
+                        tracer=tracer)
+    assert any(alert.event == "fired" for alert in outcome.alerts)
+    alert_pids = {inst.pid for inst in tracer.instants if inst.cat == "alert"}
+    assert alert_pids == {"fleet.ctrl"}
+    events = json.loads(tracer.to_json())["traceEvents"]
+    names = {event["args"]["name"] for event in events
+             if event["name"] == "process_name"}
+    assert {"fleet.ctrl", "node0"} <= names
+    assert not any(name.startswith("nodenode") for name in names)
 
 
 # --------------------------------------------------------------------------- #
