@@ -19,7 +19,7 @@ Subcommands:
   alert log plus its detection scores against the injected fault
   schedule; see ``docs/alerting.md``;
 * ``trend``  — fold committed ``BENCH_*.json`` reports into a single
-  calibration-normalized performance trend table; see
+  host-speed-scaled performance trend table; see
   ``docs/performance.md``.
 
 Parameters are passed as repeated ``-p name=value`` flags; comma-separated
@@ -163,9 +163,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
     else:
         print(format_table(
-            ["Benchmark", "Value", "Unit", "Direction"],
-            [[bench["name"], format(bench["value"], ",.6g"), bench["unit"],
-              bench["direction"]] for bench in report["benchmarks"]],
+            ["Benchmark", "Value", "Unit"],
+            [[bench["name"], format(bench["value"], ",.6g"), bench["unit"]]
+             for bench in report["benchmarks"]],
             title=f"Performance suite ({report['mode']} mode)",
         ))
         print(f"wrote {out_path}", file=sys.stderr)
@@ -174,8 +174,9 @@ def cmd_perf(args: argparse.Namespace) -> int:
         baseline_interp = baseline.get("interpreter", {}).get("implementation")
         if current_interp and baseline_interp and current_interp != baseline_interp:
             print(f"warning: comparing a {current_interp} run against a "
-                  f"{baseline_interp} baseline; ratios are uncalibrated across "
-                  "interpreters", file=sys.stderr)
+                  f"{baseline_interp} baseline; PyPy samples are not "
+                  "host-speed scaled, so ratios across interpreters are not "
+                  "comparable", file=sys.stderr)
         gates = tuple(args.gate or perf.DEFAULT_GATES)
         comparisons = perf.compare_reports(
             report, baseline, tolerance=args.max_regression, gates=gates)
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trend = subparsers.add_parser(
         "trend", help="fold committed BENCH_*.json reports into one "
-                      "calibration-normalized trend table")
+                      "host-speed-scaled trend table")
     p_trend.add_argument("reports", nargs="+", metavar="BENCH.json",
                          help="perf reports, oldest first (e.g. "
                               "BENCH_kernel.json bench-current.json)")

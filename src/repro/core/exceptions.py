@@ -54,10 +54,6 @@ class ExceptionHandler:
     # ------------------------------------------------------------------ #
     # Configuration and observation
     # ------------------------------------------------------------------ #
-    @property
-    def timeout_ns(self) -> float:
-        return self.timeout_cycles * self.domain.period_ns
-
     def set_timeout_cycles(self, cycles: int) -> None:
         if cycles <= 0:
             raise ValueError("timeout must be positive")

@@ -370,15 +370,6 @@ class FpgaRegisterView(RegisterFileView):
             raise RuntimeError(f"unexpected item {item!r} in FPGA-bound FIFO {index}")
         return rest[0]
 
-    def try_pop_request(self, index: int) -> Optional[int]:
-        """Non-blocking variant of :meth:`pop_request` (None when empty)."""
-        state = self._state(index)
-        if state.to_fpga.peek_visible() is None:
-            return None
-        item = state.to_fpga._items.popleft()[1]
-        state.to_fpga.total_popped += 1
-        return item[1]
-
     def push_response(self, index: int, value: int = 0):
         """Push into a CPU-bound or token FIFO."""
         state = self._state(index)

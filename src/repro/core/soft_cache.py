@@ -164,10 +164,6 @@ class SoftCache(FpgaMemoryPort):
                 self._write_space.succeed()
             yield from self.base_port.store(addr, value)
 
-    @property
-    def pending_writes(self) -> int:
-        return len(self._write_buffer)
-
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #

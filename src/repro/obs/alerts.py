@@ -291,9 +291,6 @@ class AlertEngine:
                       "family": event.family, "value": event.value,
                       "seq": seq})
 
-    def log_as_dicts(self) -> List[Dict[str, Any]]:
-        return [event.as_dict() for event in self.events]
-
 
 # ---------------------------------------------------------------------- #
 # Scoring against the chaos ground truth

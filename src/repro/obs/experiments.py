@@ -260,20 +260,19 @@ def alerting_schedule(fault: str, fault_rate: float,
     raise ValueError(f"unknown fault mode {fault!r}; known: {known}")
 
 
-def alerting_cell(
-    fault: str,
-    control: str,
-    fault_rate: float = 2.0,
-    nodes: int = 3,
-    spares: int = 1,
-    epochs: int = 5,
-    epoch_us: float = 600.0,
-    rate_krps: float = 300.0,
-    window_us: float = ALERT_WINDOW_US,
-    node_executor: str = "serial",
-    seed: int = DEFAULT_SEED,
-) -> List[Dict[str, Any]]:
-    """One telemetry-observed chaos run; returns a single scored row."""
+def _epoch_ps(epoch_us: float) -> int:
+    return int(round(epoch_us * 1000.0 * 1000.0))
+
+
+def _alerting_run(fault: str, control: str, fault_rate: float = 2.0,
+                  nodes: int = 3, spares: int = 1, epochs: int = 5,
+                  epoch_us: float = 600.0, rate_krps: float = 300.0,
+                  window_us: float = ALERT_WINDOW_US,
+                  node_executor: str = "serial", seed: int = DEFAULT_SEED,
+                  ) -> Tuple[Any, List[Dict[str, Any]], Dict[str, Any]]:
+    """One telemetry-observed chaos fleet run, the ground truth of what it
+    injected and the alert log's score against it: ``(outcome, truth,
+    score)``.  The defaults are the ``alerting`` experiment's."""
     schedule = alerting_schedule(fault, fault_rate, seed)
     config = FleetConfig(
         nodes=nodes,
@@ -293,17 +292,35 @@ def alerting_cell(
                         total_rate_rps=rate_krps * 1000.0, seed=seed)
 
     epoch_ns = epoch_us * 1000.0
-    epoch_ps = int(round(epoch_ns * 1000.0))
     # The oracle covers the initially-active nodes: spares carry no
     # injections while parked, and none of the sweep's schedules draw
     # rated faults dense enough to fail over a healthy node onto one.
     truth = (schedule.ground_truth(epochs, range(nodes),
                                    config.fabrics_per_node, epoch_ns)
              if schedule is not None else [])
-    alerts = outcome.alerts or []
-    horizon_ps = int(round(DETECT_HORIZON_EPOCHS * epoch_ps))
-    score = score_alerts(alerts, truth, horizon_ps)
+    horizon_ps = int(round(DETECT_HORIZON_EPOCHS * _epoch_ps(epoch_us)))
+    return outcome, truth, score_alerts(outcome.alerts or [], truth,
+                                        horizon_ps)
 
+
+def alerting_cell(
+    fault: str,
+    control: str,
+    fault_rate: float = 2.0,
+    nodes: int = 3,
+    spares: int = 1,
+    epochs: int = 5,
+    epoch_us: float = 600.0,
+    rate_krps: float = 300.0,
+    window_us: float = ALERT_WINDOW_US,
+    node_executor: str = "serial",
+    seed: int = DEFAULT_SEED,
+) -> List[Dict[str, Any]]:
+    """One telemetry-observed chaos run; returns a single scored row."""
+    outcome, _, score = _alerting_run(fault, control, fault_rate, nodes,
+                                      spares, epochs, epoch_us, rate_krps,
+                                      window_us, node_executor, seed)
+    alerts = outcome.alerts or []
     goodput = epoch_goodput(outcome.reports)
     pre = goodput[KILL_EPOCH - 1] if KILL_EPOCH >= 1 else goodput[0]
     post_epoch = min(KILL_EPOCH + ALERT_RECOVERY_EPOCHS, len(goodput) - 1)
@@ -323,7 +340,7 @@ def alerting_cell(
         "false_alarms": score["false_alarms"],
         "false_alarm_rate": score["false_alarm_rate"],
         "detection_latency_epochs": (
-            score["max_detection_latency_ps"] / epoch_ps),
+            score["max_detection_latency_ps"] / _epoch_ps(epoch_us)),
         "pre_fault_goodput": pre,
         "post_recovery_goodput": goodput[post_epoch],
         "good_total": sum(goodput),
@@ -386,29 +403,13 @@ def alerts_report(fault: str = "kill", control: str = "alerts",
                   seed: int = DEFAULT_SEED) -> Dict[str, Any]:
     """One canonical alerting run, packaged for the CLI: the typed alert
     log, the detection scores and the ground truth it was scored against."""
-    schedule = alerting_schedule(fault, fault_rate, seed)
-    config = FleetConfig(
-        nodes=3, placement="affinity", policy="affinity", epochs=5,
-        epoch_us=600.0, autoscaler=AutoscalerConfig(enabled=False),
-        node_executor="serial", power=True,
-        chaos=ChaosConfig(schedule, recovery=True) if schedule else None,
-        spares=1, telemetry_window_us=ALERT_WINDOW_US,
-        chaos_control=control)
-    outcome = run_fleet(config, FLEET_TENANTS, total_rate_rps=300_000.0,
-                        seed=seed)
-    epoch_ns = 600.0 * 1000.0
-    truth = (schedule.ground_truth(5, range(3), config.fabrics_per_node,
-                                   epoch_ns)
-             if schedule is not None else [])
-    alerts = outcome.alerts or []
-    score = score_alerts(alerts, truth,
-                         int(round(epoch_ns * 1000.0
-                                   * DETECT_HORIZON_EPOCHS)))
+    outcome, truth, score = _alerting_run(fault, control, fault_rate,
+                                          seed=seed)
     return {
         "fault": fault,
         "control": control,
         "windows": len(outcome.telemetry.samples) if outcome.telemetry else 0,
-        "alerts": [a.as_dict() for a in alerts],
+        "alerts": [a.as_dict() for a in outcome.alerts or []],
         "truth": truth,
         "score": score,
     }

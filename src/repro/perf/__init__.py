@@ -18,7 +18,7 @@ from repro.perf.harness import (
     run_suite,
     write_report,
 )
-from repro.perf import endtoend, micro
+from repro.perf import micro
 
 #: Default output filename for the tracked baseline artifact.
 BENCH_FILENAME = "BENCH_kernel.json"
@@ -26,9 +26,9 @@ BENCH_FILENAME = "BENCH_kernel.json"
 #: The standard suite, in execution order.  ``kernel_events_per_sec`` is the
 #: headline (and CI-gated) number.
 SUITE = [
-    # The microbenchmarks keep identical problem sizes in quick mode (only
-    # the repeat count drops) so a --quick CI run compares apples-to-apples
-    # against a committed full-mode baseline.
+    # Quick mode runs identical problem sizes (only the repeat count
+    # drops), so a --quick CI run compares apples-to-apples against a
+    # committed full-mode baseline.
     BenchSpec(
         name="kernel_events_per_sec",
         fn=micro.kernel_throughput,
@@ -173,23 +173,15 @@ SUITE = [
         unit="messages/s",
         params={"messages": 2_000, "width": 8, "height": 8, "topology": "crossbar"},
     ),
+    # The paper layer: fig9 and fig11 subsets through the Runner, as
+    # cells per wall second (ungated; see ROADMAP item 4).
     BenchSpec(
-        name="fig9_wall_seconds",
-        fn=endtoend.fig9_wall_seconds,
-        unit="s",
-        direction="lower",
-        repeats=2,
-        quick_repeats=1,
-        quick_params={"mechanisms": ("shadow_reg",), "frequencies": (100.0,)},
-    ),
-    BenchSpec(
-        name="fig11_wall_seconds",
-        fn=endtoend.fig11_wall_seconds,
-        unit="s",
-        direction="lower",
-        repeats=2,
-        quick_repeats=1,
-        quick_params={"processors": (1, 2), "accesses_per_processor": 8},
+        name="paper_cells_per_sec",
+        fn=micro.paper_cell_throughput,
+        unit="cells/s",
+        params={"fig9_mechanisms": ["shadow_reg", "cpu_pull_proxy"],
+                "fig9_mhz": [100.0, 500.0], "fig11_processors": [1, 2, 4],
+                "fig11_accesses": 16},
     ),
 ]
 

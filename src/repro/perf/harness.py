@@ -2,14 +2,16 @@
 baseline comparison.
 
 Every benchmark is a :class:`BenchSpec` — a name, a callable returning a
-scalar, a unit, and a direction (``higher`` for throughputs, ``lower`` for
-wall times).  :func:`run_suite` executes a list of specs with repeats and
-returns a report dict in the ``duet-repro/bench-kernel/v1`` schema, which
-:func:`write_report` serializes to ``BENCH_kernel.json``.
-:func:`compare_reports` diffs a fresh report against a committed baseline
-and flags regressions beyond a tolerance — that comparison is what the CI
-perf smoke job gates on.  See ``docs/performance.md`` for the schema and
-workflow.
+rate (higher is better) and a unit.  Each sample is scaled to a reference
+host speed by a fixed loop timed just before and just after it (see
+:func:`reference_ns_per_step`), so every recorded value is already
+host-speed normalised and no consumer scales it again.  :func:`run_suite`
+executes a list of specs with repeats and returns a report dict in the
+``duet-repro/bench-kernel/v2`` schema, which :func:`write_report`
+serializes to ``BENCH_kernel.json``.  :func:`compare_reports` diffs a
+fresh report against a committed baseline and flags regressions beyond a
+tolerance — that comparison is what the CI perf smoke job gates on.  See
+``docs/performance.md`` for the schema and workflow.
 """
 
 from __future__ import annotations
@@ -17,23 +19,63 @@ from __future__ import annotations
 import datetime
 import json
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-#: Bump only when the report layout changes incompatibly.
-SCHEMA = "duet-repro/bench-kernel/v1"
+#: Bump only when the report layout or the meaning of a recorded number
+#: changes incompatibly.
+SCHEMA = "duet-repro/bench-kernel/v2"
 
 #: Whether this interpreter is PyPy.  The perf suite runs fine under PyPy,
-#: but the machine calibration (raw generator-send throughput) is a
-#: CPython-specific proxy: under a tracing JIT the send loop gets compiled
-#: to a few machine instructions and stops tracking how fast the *suite*
-#: runs, so on PyPy the calibration is skipped and reports carry
-#: ``calibration_sends_per_sec: null`` (comparisons then fall back to raw,
-#: uncalibrated ratios — only meaningful against a same-interpreter
-#: baseline).
+#: but the reference loop is a CPython-specific proxy: under a tracing JIT
+#: it compiles to a few machine instructions and stops tracking how fast
+#: the *suite* runs.  So on PyPy samples are recorded unscaled with a
+#: ``null`` speed, and compare only against a baseline from the same
+#: interpreter.
 IS_PYPY = "__pypy__" in sys.builtin_module_names
+
+#: Host nanoseconds per step of :func:`reference_ns_per_step`'s loop at the
+#: reference speed.  Every sample is scaled to that speed by the loop timed
+#: just before and after it: a shared host switches between speed states
+#: about 1.5x apart, sometimes within one suite run.  The same constant and
+#: loop scale the ``duetbench`` host times, so both report in one unit.
+REFERENCE_NS_PER_STEP = 100.0
+
+
+def _reference_step(value: int) -> int:
+    return value + 1
+
+
+def reference_ns_per_step() -> float:
+    """Median host nanoseconds per step of a fixed pure-Python loop (a call
+    and a dict store), over five timings of 40,000 steps."""
+    table: Dict[int, int] = {}
+    samples = []
+    for _ in range(5):
+        start = time.perf_counter_ns()
+        for index in range(40_000):
+            table[index & 255] = _reference_step(index)
+        samples.append((time.perf_counter_ns() - start) / 40_000)
+    return statistics.median(samples)
+
+
+def _timed_sample(fn: Callable[..., float],
+                  params: Dict[str, Any]) -> Tuple[float, Optional[float]]:
+    """One raw rate from ``fn(**params)`` and the host speed around it.
+
+    The speed is the reference step time over the mean of the loop timed
+    just before and just after the call: above 1 on a host faster than the
+    reference, ``None`` on PyPy.
+    """
+    if IS_PYPY:
+        return float(fn(**params)), None
+    before = reference_ns_per_step()
+    raw = float(fn(**params))
+    after = reference_ns_per_step()
+    return raw, REFERENCE_NS_PER_STEP * 2 / (before + after)
 
 
 def interpreter_info() -> Dict[str, str]:
@@ -72,78 +114,42 @@ DEFAULT_GATES = ("kernel_events_per_sec", "noc_messages_per_sec",
 
 @dataclass
 class BenchSpec:
-    """One benchmark: a callable measured ``repeats`` times."""
+    """One benchmark: a rate-returning callable measured ``repeats`` times."""
 
     name: str
     fn: Callable[..., float]
     unit: str
-    #: ``higher`` = throughput-style (bigger is better), ``lower`` = latency.
-    direction: str = "higher"
     #: Keyword arguments forwarded to ``fn`` (recorded in the report).
     params: Dict[str, Any] = field(default_factory=dict)
-    #: Parameter overrides applied in ``--quick`` mode.
-    quick_params: Dict[str, Any] = field(default_factory=dict)
     repeats: int = 3
     quick_repeats: int = 2
 
     def run(self, quick: bool = False) -> Dict[str, Any]:
-        params = dict(self.params)
-        if quick:
-            params.update(self.quick_params)
         repeats = self.quick_repeats if quick else self.repeats
-        samples = [float(self.fn(**params)) for _ in range(repeats)]
-        best = max(samples) if self.direction == "higher" else min(samples)
+        raw_samples, speeds = [], []
+        for _ in range(repeats):
+            raw, speed = _timed_sample(self.fn, self.params)
+            raw_samples.append(raw)
+            speeds.append(speed)
+        # A rate at reference speed: what this host would have measured
+        # running at REFERENCE_NS_PER_STEP.
+        samples = [raw if speed is None else raw / speed
+                   for raw, speed in zip(raw_samples, speeds)]
         return {
             "name": self.name,
             "unit": self.unit,
-            "direction": self.direction,
-            "value": best,
+            "value": max(samples),
             "samples": samples,
+            "raw_samples": raw_samples,
+            "speeds": speeds,
             "repeats": repeats,
-            "params": params,
+            "params": dict(self.params),
         }
-
-
-def machine_calibration(sends: int = 200_000, repeats: int = 3) -> Optional[float]:
-    """Raw generator-resume throughput of this interpreter/machine.
-
-    The kernel's hot path is dominated by pure-Python bytecode and
-    generator sends, so this number tracks how fast the host can run the
-    suite at all.  Reports carry it, and :func:`compare_reports` divides
-    each benchmark by it before comparing — which is what makes a baseline
-    recorded on one machine meaningful on another (e.g. a CI runner).
-
-    Returns ``None`` on PyPy (see :data:`IS_PYPY`): the JIT compiles the
-    calibration loop away, so the number would wildly overstate how much
-    faster PyPy runs the real suite.
-    """
-    if IS_PYPY:
-        return None
-
-    def spin():
-        while True:
-            yield None
-
-    best = 0.0
-    for _ in range(repeats):
-        generator = spin()
-        send = generator.send
-        send(None)  # prime
-        start = time.perf_counter()
-        for _ in range(sends):
-            send(None)
-        elapsed = time.perf_counter() - start
-        best = max(best, sends / elapsed)
-    return best
 
 
 def run_suite(specs: Sequence[BenchSpec], quick: bool = False,
               progress: Optional[Callable[[str], None]] = None) -> Dict[str, Any]:
     """Run every spec and assemble a schema-stable report."""
-    if progress is not None:
-        progress("calibrating machine speed ..." if not IS_PYPY
-                 else "PyPy detected: skipping CPython calibration ...")
-    calibration = machine_calibration()
     benchmarks = []
     for spec in specs:
         if progress is not None:
@@ -157,7 +163,6 @@ def run_suite(specs: Sequence[BenchSpec], quick: bool = False,
         "platform": platform.platform(),
         "interpreter": interpreter_info(),
         "mode": "quick" if quick else "full",
-        "calibration_sends_per_sec": calibration,
         "benchmarks": benchmarks,
     }
 
@@ -186,7 +191,7 @@ class Comparison:
     name: str
     baseline: float
     current: float
-    ratio: float          # current / baseline (in the "goodness" sense)
+    ratio: float          # current / baseline (> 1 is an improvement)
     regressed: bool
     gated: bool
 
@@ -196,21 +201,12 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
                     gates: Sequence[str] = DEFAULT_GATES) -> List[Comparison]:
     """Compare two reports benchmark-by-benchmark.
 
-    ``ratio`` is normalized so that > 1 is always an improvement.  When
-    both reports carry a machine calibration, each value is divided by its
-    report's calibration first, so a baseline recorded on a fast dev box
-    gates correctly on a slower CI runner (only the *relative* kernel
-    overhead matters).  PyPy reports carry no calibration (see
-    :data:`IS_PYPY`), so comparisons involving one degrade to raw ratios —
-    only meaningful against a baseline from the same interpreter.  A
-    benchmark *regresses* when its goodness falls below ``1 - tolerance``;
+    Every value is a rate already scaled to the reference host speed, so
+    ``ratio`` is ``current / baseline`` and > 1 is always an improvement.
+    A benchmark *regresses* when its ratio falls below ``1 - tolerance``;
     only benchmarks named in ``gates`` make :func:`has_gated_regression`
-    fail (wall-time benches are informational — too noisy to gate CI on).
+    fail.
     """
-    current_cal = current.get("calibration_sends_per_sec")
-    baseline_cal = baseline.get("calibration_sends_per_sec")
-    scale = (baseline_cal / current_cal
-             if current_cal and baseline_cal else 1.0)
     by_name = {bench["name"]: bench for bench in baseline.get("benchmarks", ())}
     comparisons: List[Comparison] = []
     for bench in current.get("benchmarks", ()):
@@ -218,19 +214,14 @@ def compare_reports(current: Dict[str, Any], baseline: Dict[str, Any],
         if base is None or not base.get("value"):
             continue
         if bench.get("params") != base.get("params"):
-            # Different problem sizes (e.g. a --quick wall-time bench vs a
-            # full-mode baseline) — a ratio would be meaningless and could
-            # mask a real regression behind a smaller workload.
+            # Different problem sizes — a ratio would be meaningless and
+            # could mask a real regression behind a smaller workload.
             continue
-        value, base_value = bench["value"], base["value"]
-        if bench.get("direction", "higher") == "higher":
-            ratio = value * scale / base_value
-        else:
-            ratio = base_value * scale / value if value else 0.0
+        ratio = bench["value"] / base["value"]
         comparisons.append(Comparison(
             name=bench["name"],
-            baseline=base_value,
-            current=value,
+            baseline=base["value"],
+            current=bench["value"],
             ratio=ratio,
             regressed=ratio < (1.0 - tolerance),
             gated=bench["name"] in gates,
@@ -255,14 +246,3 @@ def format_comparisons(comparisons: Sequence[Comparison]) -> str:
             f"{format(c.current, ',.6g'):>14} {c.ratio:>6.2f}x  {status}"
         )
     return "\n".join(lines)
-
-
-def time_wall(fn: Callable[[], Any]) -> float:
-    """Wall-clock one call of ``fn`` (helper for end-to-end benches)."""
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
-def main_info() -> Dict[str, str]:  # pragma: no cover - trivial
-    return {"python": sys.version, "platform": platform.platform()}

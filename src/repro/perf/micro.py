@@ -9,11 +9,11 @@ budget:
   The mix deliberately emphasizes the zero-delay paths (~6:1) because the
   per-event overhead of exactly those hops is what the fast path exists to
   eliminate; :func:`kernel_timed_throughput` tracks the heap path on its
-  own, and the end-to-end benches track the realistic blend (the figure
-  experiments schedule ~45% of their events at zero delay).
+  own, and :func:`paper_cell_throughput` tracks the realistic blend (the
+  figure experiments schedule ~45% of their events at zero delay).
 * :func:`channel_handoff` — blocking producer/consumer pairs through a
   capacity-1 :class:`~repro.sim.channel.Channel`, so every item forces a
-  real event rendezvous in each direction.
+  real event rendezvous each way.
 * :func:`noc_message_throughput` — serialized messages across a network
   diameter on any topology, exercising batched link reservation, clock
   alignment and delivery events.  The gated ``noc_messages_per_sec``
@@ -39,6 +39,9 @@ budget:
 * :func:`chaos_request_throughput` — the same fleet path under injected
   faults with recovery on (:mod:`repro.chaos`): the gated
   ``chaos_requests_per_sec`` number.
+* :func:`paper_cell_throughput` — paper-figure cells per wall second
+  through the :class:`~repro.api.runner.Runner` (a fig9 and a fig11
+  subset): the Dolly platform path under the figures, ungated.
 
 All of them return a rate (per wall second), so *higher is better* and
 regressions show up as ratios < 1 against the recorded baseline.
@@ -347,3 +350,26 @@ def energy_sample_rate(samples: int = 20_000) -> float:
     if model.epochs < samples:
         raise RuntimeError(f"energy bench lost epochs: {model.epochs}/{samples}")
     return samples / elapsed
+
+
+def paper_cell_throughput(fig9_mechanisms=("shadow_reg", "cpu_pull_proxy"),
+                          fig9_mhz=(100.0, 500.0),
+                          fig11_processors=(1, 2, 4),
+                          fig11_accesses: int = 16) -> float:
+    """Paper-figure cells per wall second through the experiment runner.
+
+    Runs a fig9 latency subset and a fig11 scalability subset serially with
+    caching off — the Dolly platform build, the MMIO and NoC paths and the
+    memory hierarchy under the paper figures — and divides the cell count
+    by the wall time of both.
+    """
+    from repro.api.runner import Runner
+
+    runner = Runner()
+    start = time.perf_counter()
+    cells = runner.run("fig9", use_cache=False, mechanism=tuple(fig9_mechanisms),
+                       fpga_mhz=tuple(fig9_mhz)).stats.cells
+    cells += runner.run("fig11", use_cache=False,
+                        num_processors=tuple(fig11_processors),
+                        accesses_per_processor=fig11_accesses).stats.cells
+    return cells / (time.perf_counter() - start)

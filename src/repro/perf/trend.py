@@ -1,25 +1,22 @@
 """Performance trend folding: many perf reports, one table.
 
 The repo commits one perf report, ``BENCH_kernel.json``; CI writes
-another per run, and older reports come from history.  Each is recorded
-with the machine calibration of the box that produced it.  This module
-folds any number of them into a single trend view:
+another per run, and older reports come from history.  Every value in a
+report is already scaled to the reference host speed when it is measured
+(see :func:`repro.perf.harness.reference_ns_per_step`), so reports
+recorded on different machines line up as they are.  This module folds
+any number of them into a single trend view:
 
-* every benchmark value is divided by its report's
-  ``calibration_sends_per_sec`` first (the same normalization
-  :func:`repro.perf.harness.compare_reports` gates on), so reports
-  recorded on different machines line up;
 * each benchmark's ratio is computed against its *anchor* — its first
   appearance across the reports in the order given (oldest first), or a
   specific report selected with ``baseline_path``;
-* the result is a JSON document (``duet-repro/bench-trend/v1``) plus a
+* the result is a JSON document (``duet-repro/bench-trend/v2``) plus a
   text table — what ``python -m repro trend`` / ``tools/bench_trend.py``
   print and what CI uploads as the ``BENCH_trend.json`` artifact.
 
-Reports without a calibration (PyPy — see
-:data:`repro.perf.harness.IS_PYPY`) fall back to raw values; their points
-are marked ``"calibrated": false`` so a cross-interpreter trend is never
-silently presented as a clean one.
+PyPy reports (see :data:`repro.perf.harness.IS_PYPY`) carry unscaled
+samples; their points are marked ``"scaled": false`` so a
+cross-interpreter trend is never silently presented as a clean one.
 """
 
 from __future__ import annotations
@@ -30,22 +27,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.perf.harness import load_report
 
 #: Bump only when the trend layout changes incompatibly.
-TREND_SCHEMA = "duet-repro/bench-trend/v1"
+TREND_SCHEMA = "duet-repro/bench-trend/v2"
 
 
 def load_reports(paths: Sequence[str]) -> List[Tuple[str, Dict[str, Any]]]:
     """Load perf reports, keeping the given (oldest-first) order."""
     return [(path, load_report(path)) for path in paths]
-
-
-def _normalized(bench: Dict[str, Any],
-                report: Dict[str, Any]) -> Tuple[float, bool]:
-    """Calibration-normalized value (plus whether it *was* calibrated)."""
-    value = float(bench.get("value") or 0.0)
-    calibration = report.get("calibration_sends_per_sec")
-    if calibration:
-        return value / calibration, True
-    return value, False
 
 
 def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
@@ -77,15 +64,12 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
         for bench in report.get("benchmarks", ()):
             entry = benchmarks.setdefault(bench["name"], {
                 "unit": bench.get("unit", ""),
-                "direction": bench.get("direction", "higher"),
                 "points": [],
             })
-            normalized, calibrated = _normalized(bench, report)
             entry["points"].append({
                 "report": labels[index],
                 "value": bench.get("value"),
-                "normalized": normalized,
-                "calibrated": calibrated,
+                "scaled": None not in bench.get("speeds", [None]),
                 "mode": report.get("mode"),
             })
 
@@ -99,15 +83,10 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
                     break
         if anchor is None:
             anchor = points[0]
-        anchor_value = anchor["normalized"]
+        anchor_value = anchor["value"]
         for point in points:
-            if anchor_value:
-                ratio = point["normalized"] / anchor_value
-                if entry["direction"] == "lower" and ratio:
-                    ratio = 1.0 / ratio
-            else:
-                ratio = 0.0
-            point["ratio"] = ratio
+            point["ratio"] = ((point["value"] or 0.0) / anchor_value
+                              if anchor_value else 0.0)
         entry["anchor"] = anchor["report"]
 
     return {
@@ -117,8 +96,6 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
             "created_at": report.get("created_at"),
             "mode": report.get("mode"),
             "interpreter": report.get("interpreter"),
-            "calibration_sends_per_sec":
-                report.get("calibration_sends_per_sec"),
         } for index, (_, report) in enumerate(reports)],
         "benchmarks": {name: benchmarks[name]
                        for name in sorted(benchmarks)},
@@ -128,8 +105,8 @@ def trend_report(reports: Sequence[Tuple[str, Dict[str, Any]]],
 def format_trend(trend: Dict[str, Any]) -> str:
     """The trend as a fixed-width table: one row per benchmark x report.
 
-    ``ratio`` is normalized so > 1 is always an improvement over the
-    benchmark's anchor report (direction-aware, like the perf gate).
+    ``ratio`` is the value over the benchmark's anchor report's, so > 1 is
+    always an improvement (every benchmark is a rate, like the perf gate).
     """
     header = (f"{'benchmark':<38} {'report':<22} {'value':>14} "
               f"{'ratio':>7}  note")
@@ -139,8 +116,8 @@ def format_trend(trend: Dict[str, Any]) -> str:
             notes = []
             if point["report"] == entry["anchor"]:
                 notes.append("anchor")
-            if not point["calibrated"]:
-                notes.append("uncalibrated")
+            if not point["scaled"]:
+                notes.append("unscaled")
             if point.get("mode") == "quick":
                 notes.append("quick")
             value = point["value"]

@@ -17,8 +17,8 @@ synthetic benchmark does.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.core.registers import RegisterKind, RegisterSpec
 from repro.fpga.accelerator import SoftAccelerator
@@ -84,7 +84,7 @@ class ScratchpadAccelerator(SoftAccelerator):
         description="Scratchpad memory + DMA-style engine for the Sec. V-C studies",
     )
 
-    def __init__(self, use_soft_cache_port: bool = False) -> None:
+    def __init__(self) -> None:
         super().__init__("synthetic-scratchpad")
         self.echo_count = 0
 
@@ -143,7 +143,6 @@ class LatencyResult:
     mechanism: str
     fpga_mhz: float
     roundtrip_ns: float
-    breakdown: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -168,7 +167,7 @@ class ScalabilityResult:
     per_processor_mbytes_per_s: float
 
 
-def _build(kind: SystemKind, processors: int, fpga_mhz: float, soft_cache: bool):
+def _build(kind: SystemKind, processors: int, fpga_mhz: float):
     if kind is SystemKind.DUET:
         config = DollyConfig.dolly(processors, 1, fpga_mhz=fpga_mhz)
     else:
@@ -179,7 +178,6 @@ def _build(kind: SystemKind, processors: int, fpga_mhz: float, soft_cache: bool)
         accelerator,
         registers=synthetic_registers(),
         fpga_mhz=fpga_mhz,
-        soft_cache=(True if (soft_cache and kind is SystemKind.DUET) else None),
     )
     system.start_accelerator()
     return system, accelerator
@@ -203,9 +201,8 @@ def measure_latency(mechanism: str, fpga_mhz: float,
     """Minimum round-trip latency of one mechanism on Dolly-P1M1."""
     if mechanism not in LATENCY_MECHANISMS:
         raise ValueError(f"unknown latency mechanism {mechanism!r}")
-    slow = mechanism.endswith("_slow") or mechanism == "normal_reg"
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") else SystemKind.DUET
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     buffer_a = system.memory.allocate(4096, align=4096)
     buffer_b = system.memory.allocate(4096, align=4096)
@@ -245,17 +242,8 @@ def measure_latency(mechanism: str, fpga_mhz: float,
         return ctx.now - start
 
     roundtrip, _ = system.run_single(program)
-    noc_mean = system.network.mean_latency_ns()
-    return LatencyResult(
-        mechanism=mechanism,
-        fpga_mhz=fpga_mhz,
-        roundtrip_ns=roundtrip,
-        breakdown={
-            "noc_ns": noc_mean,
-            "fpga_period_ns": system.fpga_domain.period_ns,
-            "slow_domain": 1.0 if slow else 0.0,
-        },
-    )
+    return LatencyResult(mechanism=mechanism, fpga_mhz=fpga_mhz,
+                         roundtrip_ns=roundtrip)
 
 
 # --------------------------------------------------------------------------- #
@@ -277,9 +265,7 @@ def measure_bandwidth(mechanism: str, fpga_mhz: float, quad_words: int = QUAD_WO
     if mechanism not in BANDWIDTH_MECHANISMS:
         raise ValueError(f"unknown bandwidth mechanism {mechanism!r}")
     kind = SystemKind.FPSOC if mechanism.endswith("_slow") or mechanism == "normal_reg" else SystemKind.DUET
-    if mechanism == "normal_reg":
-        kind = SystemKind.FPSOC
-    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=1, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     bytes_moved = quad_words * WORD_BYTES
     buffer_a = system.memory.allocate(bytes_moved, align=4096)
@@ -346,7 +332,7 @@ def measure_register_scalability(
     if operation not in ("read", "write"):
         raise ValueError("operation must be 'read' or 'write'")
     kind = SystemKind.DUET if mechanism == "shadow_reg" else SystemKind.FPSOC
-    system, _ = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz, soft_cache=False)
+    system, _ = _build(kind, processors=num_processors, fpga_mhz=fpga_mhz)
     adapter = system.adapter
     target = adapter.register_addr(REG_PLAIN_A)
     payload = _payload_words(accesses_per_processor, seed)

@@ -524,38 +524,41 @@ def test_alerts_cli_emits_the_log_and_scores(capsys):
     assert "recall: 1.000" in out
 
 
-def test_trend_tool_normalizes_by_calibration(tmp_path):
+def test_trend_tool_reads_reference_scaled_values(tmp_path):
     from repro.api.cli import main
     from repro.perf.harness import SCHEMA
     from repro.perf.trend import format_trend, load_reports, trend_report
 
-    def report(path, value, calibration, name="fleet_requests_per_sec"):
+    def report(path, value, raw, speed, name="fleet_requests_per_sec"):
         payload = {
             "schema": SCHEMA, "created_at": "2026-08-08T00:00:00+00:00",
             "mode": "full", "interpreter": {"implementation": "cpython"},
-            "calibration_sends_per_sec": calibration,
             "benchmarks": [{"name": name, "unit": "requests/s",
-                            "direction": "higher", "value": value,
+                            "value": value, "samples": [value],
+                            "raw_samples": [raw], "speeds": [speed],
                             "params": {}}],
         }
         target = tmp_path / path
         target.write_text(json.dumps(payload))
         return str(target)
 
-    # 2x the raw value on a 2x-faster machine = flat in calibrated terms.
-    old = report("old.json", 100.0, 1e6)
-    new = report("new.json", 200.0, 2e6)
+    # 2x the raw rate on a 2x-faster host was scaled to the same value at
+    # measurement time, so the trend reads it flat without rescaling.
+    old = report("old.json", 100.0, 100.0, 1.0)
+    new = report("new.json", 100.0, 200.0, 2.0)
     trend = trend_report(load_reports([old, new]))
     points = trend["benchmarks"]["fleet_requests_per_sec"]["points"]
     assert points[0]["ratio"] == pytest.approx(1.0)
     assert points[1]["ratio"] == pytest.approx(1.0)
+    assert all(point["scaled"] for point in points)
     assert trend["benchmarks"]["fleet_requests_per_sec"]["anchor"] == "old.json"
     assert "anchor" in format_trend(trend)
+    assert "unscaled" not in format_trend(trend)
 
     out_file = tmp_path / "BENCH_trend.json"
     assert main(["trend", old, new, "--out", str(out_file)]) == 0
     written = json.loads(out_file.read_text())
-    assert written["schema"] == "duet-repro/bench-trend/v1"
+    assert written["schema"] == "duet-repro/bench-trend/v2"
     with pytest.raises(ValueError, match="not among the inputs"):
         trend_report(load_reports([old]), baseline_path="missing.json")
 

@@ -17,27 +17,41 @@ from repro.perf import (
     run_suite,
     write_report,
 )
-from repro.perf import micro
+from repro.perf import harness, micro
 
 
 # --------------------------------------------------------------------------- #
 # Harness mechanics (no real timing — tiny synthetic benches)
 # --------------------------------------------------------------------------- #
+#: The real reference loop, kept before the fixture below pins it.
+REAL_REFERENCE = harness.reference_ns_per_step
+
+
+@pytest.fixture(autouse=True)
+def reference_speed(monkeypatch):
+    """Pin the reference loop at the reference step time (speed 1.0), so
+    toy rates are recorded as they are; a test may set ``ns`` to time the
+    loop at another speed."""
+    pinned = {"ns": harness.REFERENCE_NS_PER_STEP}
+    monkeypatch.setattr(harness, "reference_ns_per_step", lambda: pinned["ns"])
+    return pinned
+
+
 def _toy_suite(value=100.0):
     return [
         BenchSpec(name="toy_rate", fn=lambda scale=1.0: value * scale,
                   unit="1/s", params={"scale": 1.0}, repeats=3, quick_repeats=1),
-        BenchSpec(name="toy_wall", fn=lambda: 2.0, unit="s",
-                  direction="lower", repeats=2, quick_repeats=1),
+        BenchSpec(name="toy_flat", fn=lambda: 2.0, unit="1/s",
+                  repeats=2, quick_repeats=1),
     ]
 
 
 def test_run_suite_schema_and_modes():
     report = run_suite(_toy_suite(), quick=False)
-    assert report["schema"] == SCHEMA
+    assert report["schema"] == SCHEMA == "duet-repro/bench-kernel/v2"
     assert report["mode"] == "full"
     names = [bench["name"] for bench in report["benchmarks"]]
-    assert names == ["toy_rate", "toy_wall"]
+    assert names == ["toy_rate", "toy_flat"]
     rate = report["benchmarks"][0]
     assert rate["value"] == 100.0
     assert rate["repeats"] == 3 and len(rate["samples"]) == 3
@@ -48,12 +62,15 @@ def test_run_suite_schema_and_modes():
     assert quick["benchmarks"][0]["repeats"] == 1
 
 
-def test_quick_params_override_only_in_quick_mode():
+def test_quick_mode_keeps_the_params():
+    """Quick mode only drops repeats: the workload is the full-mode one, so
+    a quick run compares against a full-mode baseline."""
     spec = BenchSpec(name="b", fn=lambda n=1: float(n), unit="x",
-                     params={"n": 10}, quick_params={"n": 2},
-                     repeats=1, quick_repeats=1)
-    assert spec.run(quick=False)["value"] == 10.0
-    assert spec.run(quick=True)["value"] == 2.0
+                     params={"n": 10}, repeats=3, quick_repeats=1)
+    full, quick = spec.run(quick=False), spec.run(quick=True)
+    assert full["value"] == quick["value"] == 10.0
+    assert full["params"] == quick["params"] == {"n": 10}
+    assert (full["repeats"], quick["repeats"]) == (3, 1)
 
 
 def test_report_roundtrip_and_schema_check(tmp_path):
@@ -70,64 +87,90 @@ def test_report_roundtrip_and_schema_check(tmp_path):
         load_report(str(bad_path))
 
 
+def test_load_report_rejects_a_v1_report(tmp_path):
+    """v1 values were raw and divided by a suite-wide calibration when
+    compared; v2 values are reference-scaled, so the two never mix."""
+    v1 = tmp_path / "v1.json"
+    v1.write_text(json.dumps({
+        "schema": "duet-repro/bench-kernel/v1",
+        "benchmarks": [{"name": "kernel_events_per_sec", "value": 1.38e6,
+                        "params": {"iterations": 30_000}}]}))
+    with pytest.raises(ValueError, match="bench-kernel/v1"):
+        load_report(str(v1))
+
+
 def test_compare_reports_directions_and_gating():
     baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    # Throughput halves (bad), wall time unchanged.
+    # Throughput halves (bad), the flat rate is unchanged.
     current = run_suite(_toy_suite(value=50.0), quick=True)
-    # Pin the calibrations equal: this test is about direction/gating logic,
-    # not cross-machine normalization.
-    current["calibration_sends_per_sec"] = baseline["calibration_sends_per_sec"]
     comparisons = compare_reports(current, baseline, tolerance=0.2,
                                   gates=("toy_rate",))
     by_name = {c.name: c for c in comparisons}
     assert by_name["toy_rate"].ratio == pytest.approx(0.5)
     assert by_name["toy_rate"].regressed and by_name["toy_rate"].gated
-    assert by_name["toy_wall"].ratio == pytest.approx(1.0)
-    assert not by_name["toy_wall"].regressed
+    assert by_name["toy_flat"].ratio == pytest.approx(1.0)
+    assert not by_name["toy_flat"].regressed
     assert has_gated_regression(comparisons)
     assert "REGRESSED" in format_comparisons(comparisons)
+
+    # The other way round the same pair is a 2x improvement.
+    improved = {c.name: c for c in compare_reports(baseline, current)}
+    assert improved["toy_rate"].ratio == pytest.approx(2.0)
+    assert "improved" in format_comparisons(list(improved.values()))
 
     # Same numbers -> no regression.
     same = compare_reports(baseline, baseline, gates=("toy_rate",))
     assert not has_gated_regression(same)
 
 
-def test_lower_is_better_direction_flips_ratio():
-    fast = run_suite([BenchSpec(name="w", fn=lambda: 1.0, unit="s",
-                                direction="lower", repeats=1)], quick=False)
-    slow = run_suite([BenchSpec(name="w", fn=lambda: 4.0, unit="s",
-                                direction="lower", repeats=1)], quick=False)
-    slow["calibration_sends_per_sec"] = fast["calibration_sends_per_sec"]
-    comparison = compare_reports(slow, fast, tolerance=0.2, gates=("w",))[0]
-    assert comparison.ratio == pytest.approx(0.25)
-    assert comparison.regressed
+def test_reference_loop_scales_each_sample(reference_speed):
+    """A sample is scaled by the reference loop timed around it: a host
+    twice as fast as the reference halves a fixed raw rate, one half as
+    fast doubles it, and a workload whose raw rate follows the host speed
+    records the same value on both."""
+    def constant():
+        return 100.0
+
+    def follows_host():
+        return 100.0 * harness.REFERENCE_NS_PER_STEP / reference_speed["ns"]
+
+    spec = BenchSpec(name="b", fn=constant, unit="1/s", repeats=1)
+    tracking = BenchSpec(name="t", fn=follows_host, unit="1/s", repeats=1)
+
+    reference_speed["ns"] = harness.REFERENCE_NS_PER_STEP / 2   # fast host
+    fast = spec.run()
+    assert fast["speeds"] == [pytest.approx(2.0)]
+    assert fast["raw_samples"] == [100.0]
+    assert fast["value"] == pytest.approx(50.0)
+    fast_tracking = tracking.run()["value"]
+
+    reference_speed["ns"] = harness.REFERENCE_NS_PER_STEP * 2   # slow host
+    assert spec.run()["value"] == pytest.approx(200.0)
+    assert tracking.run()["value"] == pytest.approx(fast_tracking) \
+        == pytest.approx(100.0)
 
 
-def test_calibration_normalizes_cross_machine_comparisons():
-    """A slower machine (lower calibration) producing proportionally lower
-    absolute numbers must not read as a regression."""
-    baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    baseline["calibration_sends_per_sec"] = 2_000_000.0
+def test_speed_is_timed_before_and_after_each_sample(monkeypatch):
+    """The loop runs once before and once after every sample, and the
+    speed uses the mean of the two timings."""
+    timings = iter([50.0, 150.0, 200.0, 200.0])
+    calls = []
+    monkeypatch.setattr(harness, "reference_ns_per_step",
+                        lambda: next(timings))
+    spec = BenchSpec(name="b", fn=lambda: calls.append(1) or 10.0,
+                     unit="1/s", repeats=2)
+    bench = spec.run()
+    assert len(calls) == 2
+    assert bench["speeds"] == [pytest.approx(1.0), pytest.approx(0.5)]
+    assert bench["samples"] == [pytest.approx(10.0), pytest.approx(20.0)]
+    assert bench["value"] == pytest.approx(20.0)
 
-    current = run_suite(_toy_suite(value=50.0), quick=True)  # half the speed...
-    current["calibration_sends_per_sec"] = 1_000_000.0       # ...on a half-speed box
-    # toy_wall is a constant 2.0s in both, so on the slower box it reads as
-    # a 2x improvement after normalization; the rate bench reads as parity.
-    comparisons = compare_reports(current, baseline, tolerance=0.2,
-                                  gates=("toy_rate",))
-    by_name = {c.name: c for c in comparisons}
-    assert by_name["toy_rate"].ratio == pytest.approx(1.0)
-    assert not has_gated_regression(comparisons)
 
-
-def test_reports_carry_machine_calibration():
-    report = run_suite(_toy_suite(), quick=True)
-    assert report["calibration_sends_per_sec"] > 0
+def test_reference_loop_times_a_positive_step():
+    assert REAL_REFERENCE() > 0
 
 
 def test_reports_record_the_interpreter():
-    from repro.perf import harness
-
     report = run_suite(_toy_suite(), quick=True)
     interp = report["interpreter"]
     assert interp["implementation"] in ("cpython", "pypy")
@@ -136,35 +179,38 @@ def test_reports_record_the_interpreter():
     assert harness.IS_PYPY == (interp["implementation"] == "pypy")
 
 
-def test_pypy_probe_skips_calibration(monkeypatch):
-    """Under PyPy the CPython-specific calibration is skipped: reports carry
-    null and comparisons degrade to raw (scale-1) ratios."""
-    from repro.perf import harness
+def test_pypy_samples_stay_unscaled(monkeypatch):
+    """Under PyPy the CPython-specific reference loop is not run: samples
+    are recorded raw with a null speed, and the trend marks them."""
+    from repro.perf.trend import format_trend, trend_report
 
+    monkeypatch.setattr(harness, "reference_ns_per_step",
+                        lambda: pytest.fail("reference loop ran on PyPy"))
     monkeypatch.setattr(harness, "IS_PYPY", True)
-    assert harness.machine_calibration() is None
     report = run_suite(_toy_suite(value=100.0), quick=True)
-    assert report["calibration_sends_per_sec"] is None
+    rate = report["benchmarks"][0]
+    assert rate["speeds"] == [None]
+    assert rate["samples"] == rate["raw_samples"] == [100.0]
+    assert rate["value"] == 100.0
 
     monkeypatch.setattr(harness, "IS_PYPY", False)
+    monkeypatch.setattr(harness, "reference_ns_per_step",
+                        lambda: harness.REFERENCE_NS_PER_STEP)
     baseline = run_suite(_toy_suite(value=100.0), quick=True)
-    assert baseline["calibration_sends_per_sec"] > 0
-    # Uncalibrated current vs calibrated baseline: raw ratio, no crash.
     comparisons = compare_reports(report, baseline, gates=("toy_rate",))
-    by_name = {c.name: c for c in comparisons}
-    assert by_name["toy_rate"].ratio == pytest.approx(1.0)
-    assert not has_gated_regression(comparisons)
+    assert {c.name: c.ratio for c in comparisons}["toy_rate"] == 1.0
+
+    trend = trend_report([("cpython.json", baseline), ("pypy.json", report)])
+    points = trend["benchmarks"]["toy_rate"]["points"]
+    assert [point["scaled"] for point in points] == [True, False]
+    assert "unscaled" in format_trend(trend)
 
 
 def test_cli_perf_warns_on_cross_interpreter_comparison(tmp_path, monkeypatch, capsys):
     from repro.api import cli
     from repro import perf
-    from repro.perf import harness
 
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    # The toy suite is deterministic; pin the wall-clock calibration too, so
-    # host-speed drift between the two reports cannot move the gated ratio.
-    monkeypatch.setattr(harness, "machine_calibration", lambda: 25e6)
     baseline_path = tmp_path / "baseline.json"
     assert cli.main(["perf", "--quick", "--out", str(baseline_path)]) == 0
     baseline = json.loads(baseline_path.read_text())
@@ -174,7 +220,7 @@ def test_cli_perf_warns_on_cross_interpreter_comparison(tmp_path, monkeypatch, c
     out = tmp_path / "current.json"
     assert cli.main(["perf", "--quick", "--out", str(out),
                      "--baseline", str(baseline_path), "--gate", "toy_rate"]) == 0
-    assert "uncalibrated across interpreters" in capsys.readouterr().err
+    assert "ratios across interpreters are not comparable" in capsys.readouterr().err
 
 
 def test_unknown_baseline_benchmarks_are_skipped():
@@ -203,6 +249,13 @@ def test_serve_microbenchmark_returns_positive_rate():
     assert micro.serve_request_throughput(duration_us=300.0) > 0
 
 
+def test_paper_cell_microbenchmark_returns_positive_rate():
+    assert micro.paper_cell_throughput(fig9_mechanisms=("shadow_reg",),
+                                       fig9_mhz=(100.0,),
+                                       fig11_processors=(1,),
+                                       fig11_accesses=4) > 0
+
+
 def test_default_suite_is_well_formed():
     names = [spec.name for spec in SUITE]
     assert "kernel_events_per_sec" in names
@@ -214,9 +267,11 @@ def test_default_suite_is_well_formed():
     # (see docs/serving.md).
     assert "serve_requests_per_sec" in names
     assert "serve_requests_per_sec" in DEFAULT_GATES
+    # The paper layer has its own (ungated) rate row.
+    assert "paper_cells_per_sec" in names
+    assert "paper_cells_per_sec" not in DEFAULT_GATES
     assert len(names) == len(set(names))
-    for spec in SUITE:
-        assert spec.direction in ("higher", "lower")
+    assert set(DEFAULT_GATES) <= set(names)
 
 
 # --------------------------------------------------------------------------- #
@@ -225,13 +280,9 @@ def test_default_suite_is_well_formed():
 def test_cli_perf_writes_report_and_gates(tmp_path, monkeypatch, capsys):
     from repro.api import cli
     from repro import perf
-    from repro.perf import harness
 
     # Substitute a fast suite so the CLI path stays quick under test.
     monkeypatch.setattr(perf, "SUITE", _toy_suite())
-    # Each CLI run calibrates afresh; a host that changes speed between the
-    # two runs could offset the halved rate below and silence the gate.
-    monkeypatch.setattr(harness, "machine_calibration", lambda: 25e6)
     out = tmp_path / "BENCH_kernel.json"
     assert cli.main(["perf", "--quick", "--out", str(out)]) == 0
     report = json.loads(out.read_text())

@@ -7,6 +7,7 @@ checks functional correctness plus the headline performance relationship.
 
 import pytest
 
+from repro.core.exceptions import DuetError
 from repro.platform import SystemKind
 from repro.workloads import bfs, dijkstra, pdes, popcount, sort, tangent
 from repro.workloads.common import WorkloadParams
@@ -91,6 +92,24 @@ def test_bandwidth_proxy_beats_slow_cache_for_efpga_pull():
     slow = measure_bandwidth("efpga_pull_slow", 100.0, quad_words=32)
     assert proxy.mbytes_per_s > slow.mbytes_per_s
     assert proxy.bytes_moved == 32 * 8
+
+
+def test_cpu_pull_proxy_bandwidth_completes_at_20mhz_with_128_quad_words():
+    result = measure_bandwidth("cpu_pull_proxy", 20.0, quad_words=128)
+    assert result.bytes_moved == 128 * 8
+    assert result.mbytes_per_s > 0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=DuetError,
+    reason="ROADMAP item 1: DuetError: memory hub deactivated. At a slow "
+           "eFPGA clock the CMD_PUSH_BUFFER store stream outlasts the "
+           "20,000-cycle ExceptionUnit timeout on the CPU's blocking "
+           "DATA_OUT read; TIMEOUT deactivates every hub")
+@pytest.mark.parametrize("fpga_mhz, quad_words", [(50.0, 512), (20.0, 256)])
+def test_cpu_pull_proxy_bandwidth_at_paper_size(fpga_mhz, quad_words):
+    result = measure_bandwidth("cpu_pull_proxy", fpga_mhz, quad_words=quad_words)
+    assert result.bytes_moved == quad_words * 8
 
 
 def test_result_accounting_speedup_and_adp_helpers():

@@ -8,10 +8,10 @@ the package path::
     python tools/bench_trend.py BENCH_kernel.json bench-current.json \
         --out BENCH_trend.json
 
-Each benchmark value is divided by its report's machine calibration
-before ratios are taken, so reports recorded on different machines line
-up; ratios anchor to each benchmark's first appearance (oldest report
-first).  CI runs this over the committed ``BENCH_kernel.json`` and its
+Every value in a report was scaled to the reference host speed when its
+sample was measured, so reports recorded on different machines line up
+as they are; ratios anchor to each benchmark's first appearance (oldest
+report first).  CI runs this over the committed ``BENCH_kernel.json`` and its
 own run and uploads the ``BENCH_trend.json`` artifact.
 """
 
